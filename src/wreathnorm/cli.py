@@ -52,7 +52,6 @@ def _envelope(args, result, group_spec: str | None) -> dict:
     config = {
         "command": args.command_path,
         "seed": args.seed,
-        "threads": args.threads,
         "state_cap": _caps()[0],
         "gen_cap": _caps()[1],
     }
@@ -98,10 +97,11 @@ def cmd_norm_eval(args) -> int:
 
 def cmd_norm_table(args) -> int:
     base = parse_group_spec(args.group)
-    if args.gens:
-        gens = [base.index[tuple(g)] for g in json.loads(args.gens)]
-    else:
-        gens = [base.index[g] for g in base.generators]
+    perms = [tuple(g) for g in json.loads(args.gens)] if args.gens else base.generators
+    for g in perms:
+        if g not in base.index:
+            raise ValueError(f"generator {list(g)} is not an element of the group")
+    gens = [base.index[g] for g in perms]
     closure = nm.conjugacy_closure(base, gens)
     table = nm.word_norm_bfs(base, closure)
     if args.format == "csv":
@@ -129,10 +129,7 @@ def cmd_norm_table(args) -> int:
 def cmd_oracle_bfs(args) -> int:
     base = parse_group_spec(args.group)
     state_cap, gen_cap = _caps()
-    result = oc.bfs_norms(
-        base, args.window, state_cap=state_cap, gen_cap=gen_cap,
-        chunk_size=args.chunk_size,
-    )
+    result = oc.bfs_norms(base, args.window, state_cap=state_cap, gen_cap=gen_cap)
     if args.out:
         oc.write_norms_binary(args.out, result)
     _emit(_envelope(args, result.summary(), args.group), args.summary)
@@ -223,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Invariant word norms on finite groups and shift extensions",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized runs")
-    parser.add_argument("--threads", type=int, default=1, help="cap on internal workers")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_report_out(sp):
@@ -261,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--out", default=None, help="binary distance file")
     p.add_argument("--summary", default=None, help="summary JSON path (default stdout)")
-    p.add_argument("--chunk-size", type=int, default=1 << 18)
     p.set_defaults(func=cmd_oracle_bfs, command_path="oracle bfs")
 
     p = sub.add_parser("decompose", help="build a verified commutator witness")

@@ -6,8 +6,8 @@ of point ``i``.  Composition is fixed left-to-right everywhere in this package:
 fully enumerated; element order is BFS order from the identity with generators
 taken in input order, so every derived table is reproducible bit for bit.
 
-All objects here are immutable after construction and safe to share across
-threads.
+Groups are immutable after construction apart from derived tables, which are
+computed on first use and cached on the group itself.
 """
 
 from __future__ import annotations
@@ -150,6 +150,20 @@ class FiniteGroup:
     def first_conjugator(self, a: int, b: int) -> int | None:
         """Smallest-index y with y^-1 a y == b, or None if not conjugate."""
         return self._conj_first.get((a, b))
+
+    @cached_property
+    def conj_classes(self) -> ConjClassTable:
+        return ConjClassTable(self)
+
+    @cached_property
+    def _class_products(self) -> dict[tuple[int, int], frozenset[int]]:
+        """(c1, c2) -> class product over ``conj_classes``, filled on demand."""
+        return {}
+
+    @cached_property
+    def _statement_verdicts(self) -> dict[str, bool]:
+        """S-statement name -> whether it holds, filled on demand by ``props``."""
+        return {}
 
 
 def generate_group(
@@ -312,6 +326,13 @@ def builtin_group(name: str) -> FiniteGroup:
     raise ValueError(f"unknown built-in group {name!r}")
 
 
+def _inline_spec(spec: Mapping) -> tuple[int, list]:
+    missing = [key for key in ("degree", "generators") if key not in spec]
+    if missing:
+        raise ValueError(f"inline group spec is missing {', '.join(missing)}")
+    return int(spec["degree"]), spec["generators"]
+
+
 def parse_group_spec(spec: str | Mapping) -> FiniteGroup:
     """Accept a built-in name or ``{"degree": n, "generators": [[...], ...]}``."""
     if isinstance(spec, str):
@@ -319,8 +340,8 @@ def parse_group_spec(spec: str | Mapping) -> FiniteGroup:
         if stripped.startswith("{"):
             return parse_group_spec(json.loads(stripped))
         return builtin_group(stripped)
-    degree = int(spec["degree"])
-    gens = [tuple(int(x) for x in images) for images in spec["generators"]]
+    degree, generators = _inline_spec(spec)
+    gens = [tuple(int(x) for x in images) for images in generators]
     for g in gens:
         if len(g) != degree or not is_perm(g):
             raise ValueError(f"bad generator {g} for degree {degree}")
@@ -332,9 +353,11 @@ def canonical_group_json(spec: str | Mapping) -> str:
     if isinstance(spec, str) and not spec.strip().startswith("{"):
         doc: object = {"builtin": spec.strip()}
     else:
-        parsed = json.loads(spec) if isinstance(spec, str) else spec
+        degree, generators = _inline_spec(
+            json.loads(spec) if isinstance(spec, str) else spec
+        )
         doc = {
-            "degree": int(parsed["degree"]),
-            "generators": [list(map(int, g)) for g in parsed["generators"]],
+            "degree": degree,
+            "generators": [list(map(int, g)) for g in generators],
         }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))

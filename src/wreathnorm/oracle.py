@@ -5,7 +5,8 @@ States are mixed-radix integers: base-group digits per window position (index
 truncation indexes a dense array.  Breadth-first search over the conjugacy
 closure runs level-synchronized with numpy, expanding whichever of frontier or
 unvisited-set is smaller; distance labels are convention-free, so runs are
-deterministic regardless of chunking.
+deterministic.  All batch products go through one kernel that re-encodes the
+digits of one shift class at a time.
 
 The large-table validators are exact reformulations sized for hundreds of
 thousands of states:
@@ -22,6 +23,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iter_product
 from pathlib import Path
 from typing import Sequence
@@ -128,23 +130,22 @@ class TruncatedGroup:
     def conj(self, c: int, by: int) -> int:
         return self.mul(self.mul(self.inv(by), c), by)
 
-    @property
+    @cached_property
     def np_tables(self) -> dict:
-        cached = getattr(self, "_np_tables", None)
-        if cached is None:
-            b = len(self.base)
-            mul = np.array(self.base._mul_table, dtype=np.int64)
-            cached = {
-                "mul": np.ascontiguousarray(mul),
-                "mulT": np.ascontiguousarray(mul.T),
-                "inv": np.array(self.base._inv_table, dtype=np.int64),
-                "radix": np.array(
-                    [b ** (self.code.width - 1 - j) for j in range(self.code.width)],
-                    dtype=np.int64,
-                ),
-            }
-            self._np_tables = cached
-        return cached
+        b = len(self.base)
+        mul = np.array(self.base._mul_table, dtype=np.int64)
+        mulT = np.ascontiguousarray(mul.T)
+        return {
+            "mul": mul,
+            # per-element gather rows; None marks the identity (element 0)
+            "mul_rows": [None] + list(mul[1:]),
+            "mulT_rows": [None] + list(mulT[1:]),
+            "inv": np.array(self.base._inv_table, dtype=np.int64),
+            "radix": np.array(
+                [b ** (self.code.width - 1 - j) for j in range(self.code.width)],
+                dtype=np.int64,
+            ),
+        }
 
     def decode_batch(self, codes: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
         w = self.code.width
@@ -156,95 +157,109 @@ class TruncatedGroup:
         return digits, shifts
 
 
-def right_mul_class(
-    group: TruncatedGroup,
-    digits: Sequence[np.ndarray],
-    k: int,
-    svec: Sequence[int],
-    m: int,
-) -> np.ndarray:
-    """Codes of x*s for decoded states x of one shift class k; s = (svec, m)."""
-    t = group.np_tables
-    w = group.code.width
-    b = len(group.base)
-    mulT = t["mulT"]
-    col = int(svec[k % w])
-    acc = (digits[0] if col == 0 else mulT[col][digits[0]]).astype(np.int64, copy=True)
-    for j in range(1, w):
-        col = int(svec[(j + k) % w])
-        acc *= b
-        acc += digits[j] if col == 0 else mulT[col][digits[j]]
-    return acc * w + (k + m) % w
+# -- the batch product kernel -----------------------------------------------------
+#
+# Every batch-by-constant operation on states x = (digits, k) of one shift class
+# re-encodes digit j as lut_j[digits[(j + offset) % w]]:
+#   x * s      lut_j = mulT row of s[(j + k) % w],  offset 0
+#   a * x      lut_j = mul row of a[j],             offset kappa
+#   x^-1       lut_j = inv,                         offset -k
+#   y^-1 x y   lut_j = the two lookups composed,    offset kappa of y^-1
+
+BLOCK_ROWS = 1 << 18
 
 
-def left_mul_class(
-    group: TruncatedGroup,
-    avec: Sequence[int],
-    kappa: int,
-    digits: Sequence[np.ndarray],
-    k: int,
-) -> np.ndarray:
-    """Codes of a*x for decoded states x of one shift class k; a = (avec, kappa)."""
-    t = group.np_tables
-    w = group.code.width
-    b = len(group.base)
-    mul = t["mul"]
-    row = int(avec[0])
-    first = digits[kappa % w]
-    acc = (first if row == 0 else mul[row][first]).astype(np.int64, copy=True)
-    for j in range(1, w):
-        row = int(avec[j])
-        d = digits[(j + kappa) % w]
-        acc *= b
-        acc += d if row == 0 else mul[row][d]
-    return acc * w + (kappa + k) % w
-
-
-def batch_right_mul(
-    group: TruncatedGroup, codes: np.ndarray, const_code: int
-) -> np.ndarray:
-    """x * c for every x in codes (any mix of shift classes)."""
-    w = group.code.width
-    cvec, cm = group.code.decode_parts(const_code)
-    out = np.empty(codes.size, dtype=np.int64)
-    ks = codes % w
+def _shift_blocks(group: TruncatedGroup, codes: np.ndarray):
+    """Yield (positions, k, digit columns) per shift class k of ``codes``,
+    at most BLOCK_ROWS codes at a time."""
+    ks = codes % group.code.width
     for k in np.unique(ks):
-        mask = ks == k
-        digits, _ = group.decode_batch(codes[mask])
-        out[mask] = right_mul_class(group, digits, int(k), cvec, cm)
-    return out
+        positions = np.nonzero(ks == k)[0]
+        for start in range(0, positions.size, BLOCK_ROWS):
+            pos = positions[start : start + BLOCK_ROWS]
+            digits, _ = group.decode_batch(codes[pos])
+            yield pos, int(k), digits
+
+
+def _encode(
+    group: TruncatedGroup,
+    digits: Sequence[np.ndarray],
+    luts: Sequence[np.ndarray | None],
+    offset: int,
+    shift: int,
+) -> np.ndarray:
+    """Codes with digit j = luts[j][digits[(j + offset) % w]] (None: no lookup)
+    and the given shift residue."""
+    w = group.code.width
+    b = len(group.base)
+    cols = (
+        digits[(j + offset) % w] if lut is None else lut[digits[(j + offset) % w]]
+        for j, lut in enumerate(luts)
+    )
+    acc = next(cols).astype(np.int64)
+    for col in cols:
+        acc *= b
+        acc += col
+    acc *= w
+    acc += shift % w
+    return acc
+
+
+def _right_products(
+    group: TruncatedGroup,
+    k: int,
+    digits: Sequence[np.ndarray],
+    svecs: Sequence[Sequence[int]],
+    shifts: Sequence[int],
+):
+    """Yield the codes of x * s for one shift block of states x, per s = (svec, m)."""
+    w = group.code.width
+    rows = group.np_tables["mulT_rows"]
+    rotation = [(j + k) % w for j in range(w)]
+    for svec, m in zip(svecs, shifts):
+        yield _encode(group, digits, [rows[svec[r]] for r in rotation], 0, k + m)
+
+
+def _mark_products(
+    group: TruncatedGroup,
+    blocks,
+    svecs: Sequence[Sequence[int]],
+    shifts: Sequence[int],
+    mask: np.ndarray,
+) -> None:
+    """Set mask at x * s for every state x in ``blocks`` and every s."""
+    for _, k, digits in blocks:
+        for prods in _right_products(group, k, digits, svecs, shifts):
+            mask[prods] = True
 
 
 def batch_conjugate(
     group: TruncatedGroup, codes: np.ndarray, by_code: int
 ) -> np.ndarray:
-    """y^-1 x y for every x in codes."""
+    """y^-1 x y for every x in codes, one gather per digit."""
     w = group.code.width
-    inv_code = group.inv(by_code)
-    avec, kappa = group.code.decode_parts(inv_code)
+    avec, kappa = group.code.decode_parts(group.inv(by_code))
+    yvec, _ = group.code.decode_parts(by_code)
+    mul_rows = group.np_tables["mul_rows"]
+    mulT_rows = group.np_tables["mulT_rows"]
     out = np.empty(codes.size, dtype=np.int64)
-    ks = codes % w
-    for k in np.unique(ks):
-        mask = ks == k
-        digits, _ = group.decode_batch(codes[mask])
-        out[mask] = left_mul_class(group, avec, kappa, digits, int(k))
-    return batch_right_mul(group, out, by_code)
+    for pos, k, digits in _shift_blocks(group, codes):
+        luts = []
+        for j in range(w):
+            first, then = mul_rows[avec[j]], mulT_rows[yvec[(j + kappa + k) % w]]
+            if first is None or then is None:
+                luts.append(then if first is None else first)
+            else:
+                luts.append(then[first])
+        out[pos] = _encode(group, digits, luts, kappa, k)
+    return out
 
 
 def batch_inverse(group: TruncatedGroup, codes: np.ndarray) -> np.ndarray:
-    w = group.code.width
-    inv = group.np_tables["inv"]
+    luts = [group.np_tables["inv"]] * group.code.width
     out = np.empty(codes.size, dtype=np.int64)
-    ks = codes % w
-    for k in np.unique(ks):
-        mask = ks == k
-        digits, _ = group.decode_batch(codes[mask])
-        b = len(group.base)
-        acc = inv[digits[(0 - k) % w]].astype(np.int64, copy=True)
-        for j in range(1, w):
-            acc *= b
-            acc += inv[digits[(j - k) % w]]
-        out[mask] = acc * w + (-k) % w
+    for pos, k, digits in _shift_blocks(group, codes):
+        out[pos] = _encode(group, digits, luts, -k, -k)
     return out
 
 
@@ -339,11 +354,10 @@ class BfsResult:
 
 def _prep_generators(
     group: TruncatedGroup, gens: Sequence[LampElem]
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[list[list[int]], list[int]]:
     n = group.window
     rows = [[s.value_at(i) for i in range(-n, n + 1)] for s in gens]
-    shifts = [s.shift for s in gens]
-    return np.array(rows, dtype=np.int64), np.array(shifts, dtype=np.int64)
+    return rows, [s.shift for s in gens]
 
 
 def bfs_norms(
@@ -351,20 +365,17 @@ def bfs_norms(
     window: int,
     state_cap: int = DEFAULT_STATE_CAP,
     gen_cap: int = DEFAULT_GEN_CAP,
-    chunk_size: int = 1 << 18,
 ) -> BfsResult:
     """Exact distances from the identity over the conjugacy-closed generators.
 
     Level-synchronized; each level expands forward from the frontier or
-    backward from the unvisited set, whichever is smaller.  The output does
-    not depend on the chunk size.
+    backward from the unvisited set, whichever is smaller.
     """
     started = time.perf_counter()
     group = TruncatedGroup(base, window, state_cap)
     gens = enumerate_Sbar(base, window, gen_cap)
-    gdigits, gshifts = _prep_generators(group, gens)
+    gvecs, gshifts = _prep_generators(group, gens)
     order = len(group)
-    w = group.code.width
 
     distances = np.full(order, 255, dtype=np.uint8)
     visited = np.zeros(order, dtype=bool)
@@ -374,37 +385,13 @@ def bfs_norms(
     layer_sizes = [1]
     level = 0
 
-    def expand(codes: np.ndarray, reached: np.ndarray) -> None:
-        for start in range(0, codes.size, chunk_size):
-            chunk = codes[start : start + chunk_size]
-            ks = chunk % w
-            for k in np.unique(ks):
-                digits, _ = group.decode_batch(chunk[ks == k])
-                for gi in range(gdigits.shape[0]):
-                    reached[
-                        right_mul_class(
-                            group, digits, int(k), gdigits[gi], int(gshifts[gi])
-                        )
-                    ] = True
-
     def probe(codes: np.ndarray) -> np.ndarray:
         hit = np.zeros(codes.size, dtype=bool)
-        for start in range(0, codes.size, chunk_size):
-            chunk = codes[start : start + chunk_size]
-            sub = np.zeros(chunk.size, dtype=bool)
-            ks = chunk % w
-            for k in np.unique(ks):
-                mask = ks == k
-                digits, _ = group.decode_batch(chunk[mask])
-                agg = np.zeros(int(mask.sum()), dtype=bool)
-                for gi in range(gdigits.shape[0]):
-                    agg |= visited[
-                        right_mul_class(
-                            group, digits, int(k), gdigits[gi], int(gshifts[gi])
-                        )
-                    ]
-                sub[mask] = agg
-            hit[start : start + chunk.size] = sub
+        for pos, k, digits in _shift_blocks(group, codes):
+            agg = np.zeros(pos.size, dtype=bool)
+            for prods in _right_products(group, k, digits, gvecs, gshifts):
+                agg |= visited[prods]
+            hit[pos] = agg
         return hit
 
     while frontier.size:
@@ -415,7 +402,9 @@ def bfs_norms(
             break
         if frontier.size <= remaining:
             reached = np.zeros(order, dtype=bool)
-            expand(frontier, reached)
+            _mark_products(
+                group, _shift_blocks(group, frontier), gvecs, gshifts, reached
+            )
             new = np.nonzero(reached & ~visited)[0]
         else:
             candidates = np.nonzero(~visited)[0]
@@ -488,48 +477,29 @@ class SbarContext:
         self.gen_codes = np.array(
             sorted(group.encode(s) for s in self.gen_elems), dtype=np.int64
         )
-        self._ball1: np.ndarray | None = None
-        self._ball2: np.ndarray | None = None
+        self._gen_blocks = list(_shift_blocks(group, self.gen_codes))
 
-    @property
+    @cached_property
     def ball1(self) -> np.ndarray:
-        if self._ball1 is None:
-            mask = np.zeros(len(self.group), dtype=bool)
-            mask[self.gen_codes] = True
-            mask[0] = True
-            self._ball1 = mask
-        return self._ball1
+        mask = np.zeros(len(self.group), dtype=bool)
+        mask[self.gen_codes] = True
+        mask[0] = True
+        return mask
 
-    @property
+    @cached_property
     def ball2(self) -> np.ndarray:
-        if self._ball2 is None:
-            group = self.group
-            w = group.code.width
-            mask = self.ball1.copy()
-            gdigits, gshifts = _prep_generators(group, self.gen_elems)
-            ks = self.gen_codes % w
-            for k in np.unique(ks):
-                digits, _ = group.decode_batch(self.gen_codes[ks == k])
-                for gi in range(gdigits.shape[0]):
-                    mask[
-                        right_mul_class(
-                            group, digits, int(k), gdigits[gi], int(gshifts[gi])
-                        )
-                    ] = True
-            self._ball2 = mask
-        return self._ball2
+        mask = self.ball1.copy()
+        gvecs, gshifts = _prep_generators(self.group, self.gen_elems)
+        _mark_products(self.group, self._gen_blocks, gvecs, gshifts, mask)
+        return mask
 
     def probes(self, code: int) -> np.ndarray:
         """Codes of s^-1 * g over all generators s (the generator set is
         symmetric, so this is u * g over all generators u)."""
-        w = self.group.code.width
-        out = np.empty(self.gen_codes.size, dtype=np.int64)
-        ks = self.gen_codes % w
         cvec, cm = self.group.code.decode_parts(code)
-        for k in np.unique(ks):
-            mask = ks == k
-            digits, _ = self.group.decode_batch(self.gen_codes[mask])
-            out[mask] = right_mul_class(self.group, digits, int(k), cvec, cm)
+        out = np.empty(self.gen_codes.size, dtype=np.int64)
+        for pos, k, digits in self._gen_blocks:
+            out[pos] = next(_right_products(self.group, k, digits, [cvec], [cm]))
         return out
 
 
@@ -669,15 +639,10 @@ def validate_definiteness(result: BfsResult) -> bool:
     return bool(d[0] == 0 and (d == 0).sum() == 1 and (d != 255).all())
 
 
-def validate_symmetry(result: BfsResult, chunk_size: int = 1 << 19) -> bool:
-    group = result.group
+def validate_symmetry(result: BfsResult) -> bool:
+    codes = np.arange(len(result.group), dtype=np.int64)
     d = result.distances
-    codes = np.arange(len(group), dtype=np.int64)
-    for start in range(0, codes.size, chunk_size):
-        chunk = codes[start : start + chunk_size]
-        if not (d[batch_inverse(group, chunk)] == d[chunk]).all():
-            return False
-    return True
+    return bool((d[batch_inverse(result.group, codes)] == d).all())
 
 
 def validate_triangle_layers(
@@ -694,7 +659,6 @@ def validate_triangle_layers(
     layers = {
         lvl: np.nonzero(d == lvl)[0] for lvl in range(1, diameter)
     }
-    w = group.code.width
     for i in layers:
         for j in layers:
             if i + j >= diameter:
@@ -704,20 +668,17 @@ def validate_triangle_layers(
                 raise CapExceededError(
                     f"layer pair ({i},{j}) needs {left.size * right.size} products"
                 )
-            ks = left % w
-            for k in np.unique(ks):
-                digits, _ = group.decode_batch(left[ks == k])
-                for s_code in right:
-                    svec, m = group.code.decode_parts(int(s_code))
-                    prods = right_mul_class(group, digits, int(k), svec, m)
+            rdigits, rshifts = group.decode_batch(right)
+            rvecs = np.stack(rdigits, axis=1).tolist()
+            rshifts = rshifts.tolist()
+            for _, k, digits in _shift_blocks(group, left):
+                for prods in _right_products(group, k, digits, rvecs, rshifts):
                     if (d[prods] > i + j).any():
                         return False
     return True
 
 
-def validate_invariance_generators(
-    result: BfsResult, chunk_size: int = 1 << 19
-) -> bool:
+def validate_invariance_generators(result: BfsResult) -> bool:
     """Invariance under conjugation by the standard generators.
 
     Conjugation-invariance under a generating set implies invariance under
@@ -726,13 +687,10 @@ def validate_invariance_generators(
     group = result.group
     d = result.distances
     codes = np.arange(len(group), dtype=np.int64)
-    conjugators = [group.encode(y) for y in standard_generators(group)]
-    for y in conjugators:
-        for start in range(0, codes.size, chunk_size):
-            chunk = codes[start : start + chunk_size]
-            if not (d[batch_conjugate(group, chunk, y)] == d[chunk]).all():
-                return False
-    return True
+    return all(
+        (d[batch_conjugate(group, codes, group.encode(y))] == d).all()
+        for y in standard_generators(group)
+    )
 
 
 def validate_shift_bound(result: BfsResult) -> bool:

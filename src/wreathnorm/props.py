@@ -13,9 +13,8 @@ documented per solver), so witnesses are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .groups import ConjClassTable, FiniteGroup, class_product, conjugacy_classes
+from .groups import FiniteGroup, class_product
 
 
 class SolverError(RuntimeError):
@@ -36,27 +35,16 @@ class PropReport:
         }
 
 
-_CLASS_CACHE: dict[int, ConjClassTable] = {}
-_PRODUCT_CACHE: dict[tuple[int, int, int], frozenset[int]] = {}
-
-
-def _classes(group: FiniteGroup) -> ConjClassTable:
-    key = id(group)
-    if key not in _CLASS_CACHE:
-        _CLASS_CACHE[key] = conjugacy_classes(group)
-    return _CLASS_CACHE[key]
-
-
 def _class_prod(group: FiniteGroup, c1: int, c2: int) -> frozenset[int]:
-    key = (id(group), c1, c2)
-    if key not in _PRODUCT_CACHE:
-        _PRODUCT_CACHE[key] = class_product(group, _classes(group), c1, c2)
-    return _PRODUCT_CACHE[key]
+    memo = group._class_products
+    if (c1, c2) not in memo:
+        memo[(c1, c2)] = class_product(group, group.conj_classes, c1, c2)
+    return memo[(c1, c2)]
 
 
 def xi(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
     """True iff u3 = x^-1 u2^-1 x y^-1 u1^-1 y is solvable."""
-    table = _classes(group)
+    table = group.conj_classes
     c2 = table.class_of[group.inv(u2)]
     c1 = table.class_of[group.inv(u1)]
     return u3 in _class_prod(group, c2, c1)
@@ -77,7 +65,7 @@ def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
 
 def _s1_reachable(group: FiniteGroup, a1: int) -> set[int]:
     """{x^-1 a1^-1 y x y^-1} = union over x of x^-1 a1^-1 * class(x)."""
-    table = _classes(group)
+    table = group.conj_classes
     ia1 = group.inv(a1)
     out: set[int] = set()
     for x in range(len(group)):
@@ -100,7 +88,7 @@ def check_S1(group: FiniteGroup) -> PropReport:
 
 def check_S2(group: FiniteGroup) -> PropReport:
     """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3."""
-    table = _classes(group)
+    table = group.conj_classes
     n = len(group)
     full = set(range(n))
     for a1 in range(n):
@@ -123,7 +111,7 @@ def check_S3(group: FiniteGroup, raw: bool = False) -> PropReport:
     """S3: products of any three non-trivial classes cover the non-identity part."""
     if raw:
         return _check_S3_raw(group)
-    table = _classes(group)
+    table = group.conj_classes
     ident = group.identity_index
     nontrivial = [
         c for c in range(len(table.classes)) if table.classes[c] != frozenset({ident})
@@ -179,7 +167,7 @@ def check_S4(group: FiniteGroup) -> PropReport:
 
     The witness is a realizing triple (u1, u2, u3) with xi(u1, u2, u3) false.
     """
-    table = _classes(group)
+    table = group.conj_classes
     ident = group.identity_index
     nontrivial = [
         c for c in range(len(table.classes)) if table.classes[c] != frozenset({ident})
@@ -211,29 +199,26 @@ def check_all(group: FiniteGroup) -> dict[str, PropReport]:
 
 
 _CHECKERS = {"S1": check_S1, "S2": check_S2, "S3": check_S3, "S4": check_S4}
-_GROUPS_BY_KEY: dict[int, FiniteGroup] = {}
 
 
-@lru_cache(maxsize=256)
-def _statement_holds(group_key: int, name: str) -> bool:
-    return _CHECKERS[name](_GROUPS_BY_KEY[group_key]).holds
+def _statement_holds(group: FiniteGroup, name: str) -> bool:
+    verdicts = group._statement_verdicts
+    if name not in verdicts:
+        verdicts[name] = _CHECKERS[name](group).holds
+    return verdicts[name]
 
 
 def require_statements(group: FiniteGroup, names: tuple[str, ...]) -> None:
     """Raise unless the group satisfies the named statements (cached checks)."""
-    _GROUPS_BY_KEY[id(group)] = group
     for name in names:
-        if not _statement_holds(id(group), name):
+        if not _statement_holds(group, name):
             raise ValueError(
                 f"base group fails ({name}); {'+'.join(names)} required here"
             )
 
 
 def satisfies_s_conditions(group: FiniteGroup) -> bool:
-    _GROUPS_BY_KEY[id(group)] = group
-    return all(
-        _statement_holds(id(group), name) for name in ("S1", "S2", "S3", "S4")
-    )
+    return all(_statement_holds(group, name) for name in ("S1", "S2", "S3", "S4"))
 
 
 def solve_S1_instance(group: FiniteGroup, a1: int, a2: int) -> tuple[int, int]:

@@ -180,3 +180,17 @@ def test_cap_error_names_the_cap(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "oracle", "bfs", "--group", "S3", "--window", "1")
     assert code == 2
     assert "cap" in json.loads(out)["error"]
+
+
+def test_norm_table_non_member_generator_is_structured_error(capsys):
+    code, out, _ = run_cli(
+        capsys, "norm", "table", "--group", "S3", "--gens", "[[0,0,1]]"
+    )
+    assert code == 2
+    assert "not an element" in json.loads(out)["error"]
+
+
+def test_inline_group_without_generators_is_structured_error(capsys):
+    code, out, _ = run_cli(capsys, "props", "check", "--group", '{"degree": 3}')
+    assert code == 2
+    assert "generators" in json.loads(out)["error"]

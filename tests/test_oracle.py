@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from wreathnorm import oracle
 from wreathnorm.groups import CapExceededError
 from wreathnorm.lamp import in_Sbar
 from wreathnorm.oracle import (
@@ -92,9 +93,9 @@ def test_batch_helpers(s3):
     codes = np.arange(len(group), dtype=np.int64)
     inv = batch_inverse(group, codes)
     assert all(int(inv[c]) == group.inv(int(c)) for c in codes[::17])
-    by = 123
-    conj = batch_conjugate(group, codes, by)
-    assert all(int(conj[c]) == group.conj(int(c), by) for c in codes[::17])
+    for by in (123, 124, 125):  # one conjugator per shift residue
+        conj = batch_conjugate(group, codes, by)
+        assert all(int(conj[c]) == group.conj(int(c), by) for c in codes[::17])
     member = in_sbar_batch(group, codes)
     for c in range(0, len(group), 13):
         assert bool(member[c]) == in_Sbar(group.decode(c))
@@ -112,9 +113,10 @@ def test_generator_norms_are_one(s3, s3_bfs):
         assert s3_bfs.norm_of(s) == 1
 
 
-def test_bfs_chunk_independence(s3, s3_bfs):
+def test_bfs_chunk_independence(s3, s3_bfs, monkeypatch):
     for chunk in (7, 100):
-        again = bfs_norms(s3, 1, chunk_size=chunk)
+        monkeypatch.setattr(oracle, "BLOCK_ROWS", chunk)
+        again = bfs_norms(s3, 1)
         assert (again.distances == s3_bfs.distances).all()
         assert again.layer_sizes == s3_bfs.layer_sizes
 

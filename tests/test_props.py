@@ -1,14 +1,17 @@
+import gc
 import random
+import weakref
 
 import pytest
 
-from wreathnorm.groups import conjugacy_classes, perm_from_cycles
+from wreathnorm.groups import builtin_group, conjugacy_classes, perm_from_cycles
 from wreathnorm.props import (
     SolverError,
     check_all,
     check_S1,
     check_S3,
     check_S4,
+    require_statements,
     satisfies_s_conditions,
     solve_S1_instance,
     solve_S2_instance,
@@ -151,3 +154,15 @@ def test_solver_determinism(a5):
 def test_satisfies_s_conditions(a5, s3):
     assert satisfies_s_conditions(a5)
     assert not satisfies_s_conditions(s3)
+
+
+def test_cached_statements_do_not_keep_groups_alive():
+    group = builtin_group("S3")
+    assert xi(group, 1, 1, 0)
+    assert not satisfies_s_conditions(group)
+    with pytest.raises(ValueError):
+        require_statements(group, ("S1",))
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
