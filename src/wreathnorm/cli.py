@@ -22,7 +22,7 @@ from . import norms as nm
 from . import oracle as oc
 from . import props as pr
 from . import weightfn as wf
-from .groups import canonical_group_json, parse_group_spec
+from .groups import canonical_group_json, parse_group_spec, perm_lists
 from .lamp import LampElem
 
 STATE_CAP_ENV = "WREATHNORM_STATE_CAP"
@@ -97,7 +97,9 @@ def cmd_norm_eval(args) -> int:
 
 def cmd_norm_table(args) -> int:
     base = parse_group_spec(args.group)
-    perms = [tuple(g) for g in json.loads(args.gens)] if args.gens else base.generators
+    perms = base.generators
+    if args.gens:
+        perms = [tuple(g) for g in perm_lists(json.loads(args.gens), "--gens")]
     for g in perms:
         if g not in base.index:
             raise ValueError(f"generator {list(g)} is not an element of the group")

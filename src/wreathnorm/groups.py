@@ -326,11 +326,22 @@ def builtin_group(name: str) -> FiniteGroup:
     raise ValueError(f"unknown built-in group {name!r}")
 
 
-def _inline_spec(spec: Mapping) -> tuple[int, list]:
+def perm_lists(value: object, what: str) -> list[list[int]]:
+    """``value`` if it is a list of integer lists, else a ValueError."""
+    if not isinstance(value, list) or not all(
+        isinstance(p, list) and all(isinstance(x, int) for x in p) for p in value
+    ):
+        raise ValueError(f"{what} must be a list of permutations (integer lists)")
+    return value
+
+
+def _inline_spec(spec: Mapping) -> tuple[int, list[list[int]]]:
     missing = [key for key in ("degree", "generators") if key not in spec]
     if missing:
         raise ValueError(f"inline group spec is missing {', '.join(missing)}")
-    return int(spec["degree"]), spec["generators"]
+    if not isinstance(spec["degree"], int):
+        raise ValueError("inline group spec degree must be an integer")
+    return spec["degree"], perm_lists(spec["generators"], "generators")
 
 
 def parse_group_spec(spec: str | Mapping) -> FiniteGroup:

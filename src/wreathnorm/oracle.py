@@ -75,7 +75,7 @@ class TruncatedGroup:
     Provides the same arithmetic surface as the permutation groups (``mul``,
     ``inv``, ``conj``, ``identity_index``, ``__len__``) so norm tables and
     validators work unchanged, plus codecs to and from explicit elements.
-    The identity always has code 0.
+    The base identity must be element 0, so the identity has code 0.
     """
 
     def __init__(
@@ -83,6 +83,8 @@ class TruncatedGroup:
     ):
         if window < 1:
             raise ValueError("truncations need window n >= 1 (shift must act)")
+        if base.identity_index != 0:
+            raise ValueError("truncations need the base identity at index 0")
         self.base = base
         self.window = window
         self.code = DenseCode(len(base), window)
@@ -533,28 +535,64 @@ def bounded_norm(
 # -- exhaustive existential searches backing the derived predicates ---------------
 
 
+def _factor_digits(
+    base: FiniteGroup, positions: Sequence[int], sign: int
+) -> tuple[list[int], np.ndarray]:
+    """Row r: the factor (see ``factor_image``) of the vector with the base-|P|
+    digits of r at the sorted ``positions``; column j: its value at span[j],
+    the indices i with i or i + 1 in the window.  int32 if row codes fit."""
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+    b, k = len(base), len(positions)
+    rows = np.arange(b**k)
+    g = {p: rows // b ** (k - 1 - m) % b for m, p in enumerate(sorted(positions))}
+    span = sorted(g.keys() | {p - 1 for p in g})
+    dtype = np.int32 if b ** len(span) <= np.iinfo(np.int32).max else np.int64
+    mul = np.asarray(base._mul_table, dtype=dtype)
+    inv = np.asarray(base._inv_table)
+    digits = np.empty((rows.size, len(span)), dtype=dtype)
+    for j, i in enumerate(span):
+        gi, gi1 = g.get(i, base.identity_index), g.get(i + 1, base.identity_index)
+        digits[:, j] = mul[gi, inv[gi1]] if sign == 1 else mul[gi1, inv[gi]]
+    return span, digits
+
+
+# Codes decoded per block; the transient Python lists set the oracles' peak RSS.
+DECODE_ROWS = 1 << 14
+
+
+def _decode_supports(
+    base: FiniteGroup, span: Sequence[int], codes: np.ndarray
+) -> set[tuple[tuple[int, int], ...]]:
+    """Support tuples of base-|P| codes whose digit j is the value at span[j]."""
+    b, e = len(base), base.identity_index
+    powers = b ** np.arange(len(span) - 1, -1, -1)
+    cells = [[(i, d) for d in range(b)] for i in span]  # shared pair tuples
+    out: set[tuple[tuple[int, int], ...]] = set()
+    for start in range(0, codes.size, DECODE_ROWS):
+        digits = codes[start : start + DECODE_ROWS, None] // powers % b
+        for row in digits.tolist():
+            out.add(tuple([c[d] for c, d in zip(cells, row) if d != e]))
+    return out
+
+
 def factor_image(
     base: FiniteGroup, vector_positions: Sequence[int], sign: int
 ) -> set[tuple[tuple[int, int], ...]]:
     """Support tuples of all one-vector factors over a window of vectors.
 
-    sign +1 enumerates g . alpha(g^-1) over every vector supported inside
-    ``vector_positions``; sign -1 the mirror.  This is the raw existential
-    definition of the shift-conjugate torsion parts, used as an oracle against
-    the ordered-product membership test.
+    sign +1 enumerates g . alpha(g^-1) over every vector g supported inside
+    ``vector_positions``, value mul[g_i, inv[g_(i+1)]] at index i; sign -1
+    the mirror alpha(g) . g^-1, value mul[g_(i+1), inv[g_i]].  g is
+    ``base.identity_index`` off the window; supports omit identity values.
+    This existential definition is the oracle for the ordered-product
+    membership test.  Only distinct base-|P| factor codes are decoded.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    positions = sorted(vector_positions)
-    out: set[tuple[tuple[int, int], ...]] = set()
-    for choice in iter_product(range(len(base)), repeat=len(positions)):
-        vec = LampElem.make(base, dict(zip(positions, choice)), 0, None)
-        if sign == 1:
-            image = vec.mul(vec.inverse().alpha(1))
-        else:
-            image = vec.alpha(1).mul(vec.inverse())
-        out.add(image.support)
-    return out
+    span, digits = _factor_digits(base, vector_positions, sign)
+    codes = np.zeros(len(digits), dtype=digits.dtype)
+    for col in digits.T:
+        codes = codes * len(base) + col
+    return _decode_supports(base, span, np.unique(codes))
 
 
 def pm_pair_image(
@@ -565,49 +603,26 @@ def pm_pair_image(
 ) -> set[tuple[tuple[int, int], ...]]:
     """Support tuples of all two-vector mixed products over a vector window.
 
-    Enumerates every pair of vectors supported inside ``vector_positions`` and
-    multiplies the corresponding factors in the requested order ("-+" is the
-    minus-factor first).  Independent of the class-product machinery; the cost
-    is |P|^(2 |window|) pairs.
+    Multiplies every pair of factors over the k positions of
+    ``vector_positions`` (digits and identity as in ``factor_image``) in the
+    given order ("-+" is the minus-factor first).  Base-|P| digit j of the
+    |P|^k x |P|^k code matrix is mul[left[:, j], right[:, j]]; at most 2k
+    digits, so int32 codes under the default ``pair_cap``.
     """
     if order not in ("-+", "+-"):
         raise ValueError("order must be '-+' or '+-'")
-    positions = sorted(vector_positions)
     b = len(base)
-    if (b ** len(positions)) ** 2 > pair_cap:
+    if (b ** len(vector_positions)) ** 2 > pair_cap:
         raise CapExceededError("pair enumeration over this window is too large")
-    lo, hi = positions[0], positions[-1]
-    span = list(range(lo - 1, hi + 1))  # factor support range
-    mul_rows = base._mul_table
-    inv_tab = base._inv_table
-
-    def factor_digits(choice: tuple[int, ...], sign: int) -> tuple[int, ...]:
-        g = dict(zip(positions, choice))
-        out = []
-        for i in span:
-            gi = g.get(i, 0)
-            gi1 = g.get(i + 1, 0)
-            if sign == 1:
-                out.append(mul_rows[gi][inv_tab[gi1]])
-            else:
-                out.append(mul_rows[gi1][inv_tab[gi]])
-        return tuple(out)
-
-    choices = list(iter_product(range(b), repeat=len(positions)))
     first_sign = -1 if order == "-+" else 1
-    left = [factor_digits(c, first_sign) for c in choices]
-    right = [factor_digits(c, -first_sign) for c in choices]
-    out: set[tuple[tuple[int, int], ...]] = set()
-    for f1 in left:
-        rows = [mul_rows[d] for d in f1]
-        for f2 in right:
-            support = tuple(
-                (i, row[d2])
-                for i, row, d2 in zip(span, rows, f2)
-                if row[d2] != 0
-            )
-            out.add(support)
-    return out
+    span, left = _factor_digits(base, vector_positions, first_sign)
+    _, right = _factor_digits(base, vector_positions, -first_sign)
+    mul = np.asarray(base._mul_table, dtype=left.dtype)
+    codes = np.zeros((len(left), len(right)), dtype=left.dtype)
+    for j in range(len(span)):
+        codes *= b
+        codes += mul[left[:, j, None], right[None, :, j]]
+    return _decode_supports(base, span, np.unique(codes))
 
 
 def pm_weight3_exhaustive(

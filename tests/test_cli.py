@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from wreathnorm.cli import main
 
 
@@ -194,3 +196,23 @@ def test_inline_group_without_generators_is_structured_error(capsys):
     code, out, _ = run_cli(capsys, "props", "check", "--group", '{"degree": 3}')
     assert code == 2
     assert "generators" in json.loads(out)["error"]
+
+
+def test_norm_table_non_list_generators_is_structured_error(capsys):
+    code, out, _ = run_cli(capsys, "norm", "table", "--group", "S3", "--gens", "[5]")
+    assert code == 2
+    assert "list of permutations" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "spec,message",
+    [
+        ('{"degree": 3, "generators": 5}', "list of permutations"),
+        ('{"degree": 3, "generators": [[1, 0, [2]]]}', "list of permutations"),
+        ('{"degree": [3], "generators": [[1, 0, 2]]}', "degree"),
+    ],
+)
+def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message):
+    code, out, _ = run_cli(capsys, "props", "check", "--group", spec)
+    assert code == 2
+    assert message in json.loads(out)["error"]

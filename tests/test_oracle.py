@@ -1,11 +1,12 @@
 import random
+from itertools import product as iter_product
 
 import numpy as np
 import pytest
 
 from wreathnorm import oracle
-from wreathnorm.groups import CapExceededError
-from wreathnorm.lamp import in_Sbar
+from wreathnorm.groups import CapExceededError, FiniteGroup
+from wreathnorm.lamp import LampElem, in_Sbar
 from wreathnorm.oracle import (
     SbarContext,
     TruncatedGroup,
@@ -14,7 +15,9 @@ from wreathnorm.oracle import (
     bfs_norms,
     bounded_norm,
     enumerate_Sbar,
+    factor_image,
     in_sbar_batch,
+    pm_pair_image,
     pm_weight3_exhaustive,
     read_norms_binary,
     set_power_norms,
@@ -186,6 +189,78 @@ def test_binary_round_trip(tmp_path, s3_bfs):
     assert header["window"] == 1
     assert header["diameter"] == s3_bfs.diameter
     assert (body == s3_bfs.distances).all()
+
+
+# Z2 listed with its identity second: identity_index is 1, not 0.
+def _z2_identity_second():
+    return FiniteGroup.from_elements([(1, 0, 2), (0, 1, 2)])
+
+
+def _factors(base, positions, sign):
+    """The raw definition over LampElem: g . alpha(g^-1) for every vector g
+    supported inside ``positions`` (sign +1), or alpha(g) . g^-1 (sign -1)."""
+    out = []
+    for choice in iter_product(range(len(base)), repeat=len(positions)):
+        vec = LampElem.make(base, dict(zip(positions, choice)), 0, None)
+        if sign == 1:
+            out.append(vec.mul(vec.inverse().alpha(1)))
+        else:
+            out.append(vec.alpha(1).mul(vec.inverse()))
+    return out
+
+
+def _pair_supports(base, positions, order):
+    first = -1 if order == "-+" else 1
+    right = _factors(base, positions, -first)
+    return {
+        f1.mul(f2).support for f1 in _factors(base, positions, first) for f2 in right
+    }
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("name", ["s3", "z3"])
+def test_factor_image_matches_definition(request, name, sign):
+    base = request.getfixturevalue(name)
+    expected = {f.support for f in _factors(base, (1, 2, 3), sign)}
+    assert factor_image(base, (1, 2, 3), sign) == expected
+    assert factor_image(base, (3, 1), sign) == {
+        f.support for f in _factors(base, (1, 3), sign)
+    }
+
+
+@pytest.mark.parametrize("order", ["-+", "+-"])
+@pytest.mark.parametrize("name,width", [("z3", 4), ("s3", 3)])
+def test_pm_pair_image_matches_pair_loop(request, name, width, order):
+    base = request.getfixturevalue(name)
+    positions = tuple(range(1, width + 1))
+    assert pm_pair_image(base, positions, order) == _pair_supports(
+        base, positions, order
+    )
+
+
+def test_pm_pair_image_cap(s3):
+    with pytest.raises(CapExceededError):
+        pm_pair_image(s3, (1, 2, 3, 4), "-+", pair_cap=6**8 - 1)
+
+
+def test_exhaustive_oracles_use_the_base_identity():
+    base = _z2_identity_second()
+    assert base.identity_index == 1
+    for sign in (1, -1):
+        assert factor_image(base, (1, 2), sign) == {
+            f.support for f in _factors(base, (1, 2), sign)
+        }
+    for order in ("-+", "+-"):
+        image = pm_pair_image(base, (1, 2), order)
+        assert image == _pair_supports(base, (1, 2), order)
+        assert all(v != base.identity_index for s in image for _, v in s)
+
+
+def test_truncation_rejects_nonzero_identity():
+    with pytest.raises(ValueError, match="identity at index 0"):
+        TruncatedGroup(_z2_identity_second(), 1)
+    with pytest.raises(ValueError, match="identity at index 0"):
+        bfs_norms(_z2_identity_second(), 1)
 
 
 def test_pm_weight3_exhaustive_verifies(a5):
