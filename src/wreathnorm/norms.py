@@ -103,10 +103,17 @@ class NormTable:
 
     @classmethod
     def from_json(cls, group: FiniteGroup, doc: Iterable[dict]) -> "NormTable":
+        """One ``{"element": id, "value": v}`` row per element, ids in [0, |G|)."""
         values: list[Value] = [Fraction(0)] * len(group)
         seen = [False] * len(group)
         for row in doc:
+            if not isinstance(row, dict) or not {"element", "value"} <= row.keys():
+                raise ValueError(f"table row {row!r} needs 'element' and 'value'")
             i = int(row["element"])
+            if not 0 <= i < len(group):
+                raise ValueError(f"element id {i} is outside [0, {len(group)})")
+            if seen[i]:
+                raise ValueError(f"duplicate row for element {i}")
             values[i] = Fraction(row["value"])
             seen[i] = True
         if not all(seen):

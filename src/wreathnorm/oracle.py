@@ -2,20 +2,28 @@
 
 States are mixed-radix integers: base-group digits per window position (index
 -n first, most significant) followed by the shift residue, so the whole
-truncation indexes a dense array.  Breadth-first search over the conjugacy
-closure runs level-synchronized with numpy, expanding whichever of frontier or
-unvisited-set is smaller; distance labels are convention-free, so runs are
-deterministic.  All batch products go through one kernel that re-encodes the
-digits of one shift class at a time.
+truncation indexes a dense array.  All batch products go through one kernel
+that re-encodes the digits of one shift class at a time.
 
-The large-table validators are exact reformulations sized for hundreds of
-thousands of states:
+The conjugacy-closed generating set S-bar is a union of conjugacy classes, so
+every ball around the identity is one too.  Each state carries a class label
+(the least code in its class, found by label propagation under conjugation by
+the standard generators), and the level-synchronized BFS runs on classes: a
+level multiplies one representative per frontier class by all of S-bar and
+reads each state's distance back through its label.  Distance labels are
+convention-free, so runs are deterministic.
 
+The large-table validators are exact reformulations sized for millions of
+states:
+
+* a table is invariant under all conjugations iff it is invariant under a
+  generating set (induction on the conjugator's word length; invariance
+  under y gives it under y^-1), and the truncation is generated by the base's
+  generators at index 0 plus the shift t;
 * the triangle inequality holds iff layer_i * layer_j stays inside
   ball_{i+j} for all i, j, which is vacuous once i + j reaches the diameter;
-* a table is invariant under all conjugations iff it is invariant under a
-  generating set (induction on the conjugator's word length), and the
-  truncation is generated by the base copy at index 0 plus the shift.
+  on an invariant table every layer is conjugation-closed, so one
+  representative per class of layer_i against all of layer_j decides it.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ from .lamp import LampElem, in_Sbar
 DEFAULT_STATE_CAP = 10**9
 DEFAULT_GEN_CAP = 10**7
 BINARY_MAGIC = b"WNBF1\n"
+UNREACHED = 255  # uint8 distance sentinel; no level may reach it
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,44 @@ class TruncatedGroup:
         digits = [(vec // radix[j]) % b for j in range(w)]
         return digits, shifts
 
+    @cached_property
+    def class_labels(self) -> np.ndarray:
+        """int32: for each state, the least code in its conjugacy class.
+
+        Min-label propagation with pointer jumping under conjugation by the
+        standard generators, one shift residue at a time (conjugation keeps
+        the shift, so no class spans two residues).  A label is always a code
+        of the state's own class and at most the state; at the fixed point it
+        is constant along every conjugation, hence the class minimum.
+        """
+        w = self.code.width
+        if len(self) > np.iinfo(np.int32).max:
+            raise CapExceededError(f"{len(self)} states do not fit int32 labels")
+        ys = [self.encode(y) for y in standard_generators(self)]
+        labels = np.empty(len(self), dtype=np.int32)
+        for k in range(w):
+            codes = np.arange(k, len(self), w, dtype=np.int64)
+            # conjugation by each y, as a permutation of the indices code // w
+            perms = [np.empty(codes.size, dtype=np.int32) for _ in ys]
+            for pos, i, conj in _conjugates(self, codes, ys):
+                perms[i][pos] = conj // w
+            lab = np.arange(len(self) // w, dtype=np.int32)
+            for perm in list(perms):  # pull along each conjugation and its inverse
+                inverse = np.empty_like(perm)
+                inverse[perm] = lab
+                perms.append(inverse)
+            while True:
+                before = lab.copy()
+                for perm in perms:
+                    np.minimum(lab, lab[perm], out=lab)
+                jumped = lab[lab]
+                while not np.array_equal(jumped, lab):
+                    lab, jumped = jumped, jumped[jumped]
+                if np.array_equal(lab, before):
+                    break
+            labels[k::w] = lab * w + k
+        return labels
+
 
 # -- the batch product kernel -----------------------------------------------------
 #
@@ -235,33 +282,58 @@ def _mark_products(
             mask[prods] = True
 
 
+def _times(group: TruncatedGroup, blocks, code: int):
+    """Yield (positions, codes of x * c) over the shift blocks of states x,
+    for the one state c = ``code``."""
+    cvec, cshift = group.code.decode_parts(code)
+    for pos, k, digits in blocks:
+        yield pos, next(_right_products(group, k, digits, [cvec], [cshift]))
+
+
+def _conjugates(group: TruncatedGroup, codes: np.ndarray, by_codes: Sequence[int]):
+    """Yield (positions, i, codes of y^-1 x y) per shift block of ``codes`` and
+    per y = by_codes[i]; the two lookups are composed, so each digit is
+    gathered once."""
+    w = group.code.width
+    mul_rows = group.np_tables["mul_rows"]
+    mulT_rows = group.np_tables["mulT_rows"]
+    parts = [
+        (group.code.decode_parts(group.inv(y)), group.code.decode_parts(y)[0])
+        for y in by_codes
+    ]
+    for pos, k, digits in _shift_blocks(group, codes):
+        for i, ((avec, kappa), yvec) in enumerate(parts):
+            luts = []
+            for j in range(w):
+                first, then = mul_rows[avec[j]], mulT_rows[yvec[(j + kappa + k) % w]]
+                if first is None or then is None:
+                    luts.append(then if first is None else first)
+                else:
+                    luts.append(then[first])
+            yield pos, i, _encode(group, digits, luts, kappa, k)
+
+
 def batch_conjugate(
     group: TruncatedGroup, codes: np.ndarray, by_code: int
 ) -> np.ndarray:
     """y^-1 x y for every x in codes, one gather per digit."""
-    w = group.code.width
-    avec, kappa = group.code.decode_parts(group.inv(by_code))
-    yvec, _ = group.code.decode_parts(by_code)
-    mul_rows = group.np_tables["mul_rows"]
-    mulT_rows = group.np_tables["mulT_rows"]
     out = np.empty(codes.size, dtype=np.int64)
-    for pos, k, digits in _shift_blocks(group, codes):
-        luts = []
-        for j in range(w):
-            first, then = mul_rows[avec[j]], mulT_rows[yvec[(j + kappa + k) % w]]
-            if first is None or then is None:
-                luts.append(then if first is None else first)
-            else:
-                luts.append(then[first])
-        out[pos] = _encode(group, digits, luts, kappa, k)
+    for pos, _, conj in _conjugates(group, codes, [by_code]):
+        out[pos] = conj
     return out
 
 
-def batch_inverse(group: TruncatedGroup, codes: np.ndarray) -> np.ndarray:
+def _inverses(group: TruncatedGroup, codes: np.ndarray):
+    """Yield (positions, codes of x^-1) per shift block of ``codes``."""
     luts = [group.np_tables["inv"]] * group.code.width
-    out = np.empty(codes.size, dtype=np.int64)
     for pos, k, digits in _shift_blocks(group, codes):
-        out[pos] = _encode(group, digits, luts, -k, -k)
+        yield pos, _encode(group, digits, luts, -k, -k)
+
+
+def batch_inverse(group: TruncatedGroup, codes: np.ndarray) -> np.ndarray:
+    out = np.empty(codes.size, dtype=np.int64)
+    for pos, inv in _inverses(group, codes):
+        out[pos] = inv
     return out
 
 
@@ -286,15 +358,21 @@ def in_sbar_batch(group: TruncatedGroup, codes: np.ndarray) -> np.ndarray:
 
 
 def standard_generators(group: TruncatedGroup) -> list[LampElem]:
-    """The base copy at index 0 plus the shift generator and its inverse."""
+    """The base's recorded generators at index 0, plus the shift t.
+
+    A base without recorded generators (``FiniteGroup.from_elements``)
+    contributes every non-identity element at index 0.  Conjugating the
+    index-0 copy by powers of t reaches every index, so these generate the
+    truncation (t^-1 is a power of t there).
+    """
     base = group.base
-    n = group.window
+    values = [base.index[g] for g in base.generators] or range(len(base))
     singles = [
-        LampElem.single(base, 0, v, n)
-        for v in range(len(base))
+        LampElem.single(base, 0, v, group.window)
+        for v in dict.fromkeys(values)
         if v != base.identity_index
     ]
-    return singles + [LampElem.t_power(base, 1, n), LampElem.t_power(base, -1, n)]
+    return singles + [LampElem.t_power(base, 1, group.window)]
 
 
 def enumerate_Sbar(
@@ -334,7 +412,7 @@ def enumerate_Sbar(
 @dataclass
 class BfsResult:
     group: TruncatedGroup
-    distances: np.ndarray  # uint8; 255 = unreached
+    distances: np.ndarray  # uint8; UNREACHED (255) = unreached
     layer_sizes: list[int]
     diameter: int
     generator_count: int
@@ -370,64 +448,59 @@ def bfs_norms(
 ) -> BfsResult:
     """Exact distances from the identity over the conjugacy-closed generators.
 
-    Level-synchronized; each level expands forward from the frontier or
-    backward from the unvisited set, whichever is smaller.
+    Level-synchronized over conjugacy classes.  S-bar is checked to be a union
+    of classes, so every layer is one too, and the classes that layer_m . S-bar
+    meets are those that S-bar . r meets (= r . S-bar, as S-bar is closed
+    under conjugation by r) for one representative r per class of layer_m.
+    Each state's distance is its class's.  Raises RuntimeError if S-bar is
+    not a union of classes, if a level would reach the UNREACHED sentinel, or
+    if states stay unreached.
     """
     started = time.perf_counter()
     group = TruncatedGroup(base, window, state_cap)
     gens = enumerate_Sbar(base, window, gen_cap)
-    gvecs, gshifts = _prep_generators(group, gens)
+    gen_codes = np.array([group.encode(s) for s in gens], dtype=np.int64)
+    labels = group.class_labels
     order = len(group)
 
-    distances = np.full(order, 255, dtype=np.uint8)
-    visited = np.zeros(order, dtype=bool)
-    distances[0] = 0
-    visited[0] = True
-    frontier = np.array([0], dtype=np.int64)
-    layer_sizes = [1]
+    in_sbar = np.zeros(order, dtype=bool)
+    in_sbar[gen_codes] = True
+    sbar_classes = np.zeros(order, dtype=bool)
+    sbar_classes[labels[gen_codes]] = True
+    if not np.array_equal(sbar_classes[labels], in_sbar):
+        raise RuntimeError("the generating set is not a union of conjugacy classes")
+
+    gen_blocks = list(_shift_blocks(group, gen_codes))
+    class_dist = np.full(order, UNREACHED, dtype=np.uint8)  # set at representatives
+    class_dist[0] = 0
+    frontier = [0]
     level = 0
-
-    def probe(codes: np.ndarray) -> np.ndarray:
-        hit = np.zeros(codes.size, dtype=bool)
-        for pos, k, digits in _shift_blocks(group, codes):
-            agg = np.zeros(pos.size, dtype=bool)
-            for prods in _right_products(group, k, digits, gvecs, gshifts):
-                agg |= visited[prods]
-            hit[pos] = agg
-        return hit
-
-    while frontier.size:
-        level += 1
-        remaining = order - int(visited.sum())
-        if remaining == 0:
-            level -= 1
-            break
-        if frontier.size <= remaining:
-            reached = np.zeros(order, dtype=bool)
-            _mark_products(
-                group, _shift_blocks(group, frontier), gvecs, gshifts, reached
-            )
-            new = np.nonzero(reached & ~visited)[0]
-        else:
-            candidates = np.nonzero(~visited)[0]
-            new = candidates[probe(candidates)]
+    while frontier:
+        reached = np.zeros(order, dtype=bool)
+        for rep in frontier:
+            for _, prods in _times(group, gen_blocks, rep):
+                reached[labels[prods]] = True
+        new = np.flatnonzero(reached & (class_dist == UNREACHED))
         if new.size == 0:
-            level -= 1
             break
-        distances[new] = level
-        visited[new] = True
-        frontier = new
-        layer_sizes.append(int(new.size))
+        level += 1
+        if level >= UNREACHED:
+            raise RuntimeError(
+                f"BFS level {level} would collide with the unreached sentinel"
+            )
+        class_dist[new] = level
+        frontier = new.tolist()
 
-    if int(visited.sum()) != order:
+    distances = class_dist[labels]
+    missing = int(np.count_nonzero(distances == UNREACHED))
+    if missing:
         raise RuntimeError(
-            "generators failed to reach the whole truncation; "
-            f"{order - int(visited.sum())} states missing"
+            f"generators failed to reach the whole truncation; {missing} states missing"
         )
     return BfsResult(
         group,
         distances,
-        layer_sizes,
+        np.bincount(distances, minlength=level + 1).tolist(),
         diameter=level,
         generator_count=len(gens),
         elapsed=time.perf_counter() - started,
@@ -498,10 +571,9 @@ class SbarContext:
     def probes(self, code: int) -> np.ndarray:
         """Codes of s^-1 * g over all generators s (the generator set is
         symmetric, so this is u * g over all generators u)."""
-        cvec, cm = self.group.code.decode_parts(code)
         out = np.empty(self.gen_codes.size, dtype=np.int64)
-        for pos, k, digits in self._gen_blocks:
-            out[pos] = next(_right_products(self.group, k, digits, [cvec], [cm]))
+        for pos, prods in _times(self.group, self._gen_blocks, code):
+            out[pos] = prods
         return out
 
 
@@ -651,43 +723,47 @@ def pm_weight3_exhaustive(
 
 def validate_definiteness(result: BfsResult) -> bool:
     d = result.distances
-    return bool(d[0] == 0 and (d == 0).sum() == 1 and (d != 255).all())
+    return bool(d[0] == 0 and (d == 0).sum() == 1 and (d != UNREACHED).all())
 
 
 def validate_symmetry(result: BfsResult) -> bool:
     codes = np.arange(len(result.group), dtype=np.int64)
     d = result.distances
-    return bool((d[batch_inverse(result.group, codes)] == d).all())
+    return all((d[inv] == d[pos]).all() for pos, inv in _inverses(result.group, codes))
 
 
 def validate_triangle_layers(
     result: BfsResult, pair_cap: int = 300_000_000
 ) -> bool:
-    """Triangle inequality via layer products.
+    """Triangle inequality via layer products; False unless also invariant.
 
     Checks layer_i * layer_j inside ball_{i+j} for every pair with
-    i + j < diameter (larger sums are vacuous: the ball is everything).
+    i + j < diameter (larger sums are vacuous: the ball is everything).  On an
+    invariant table each layer is conjugation-closed: a * b is conjugate to
+    r * b' with r the class representative of a and b' in layer_j, and
+    layer_j * r = r * layer_j.  So only the representatives of layer_i are
+    multiplied, against all of layer_j; invariance is checked first so the
+    shortcut stays exact when this validator runs alone.
     """
+    if not validate_invariance_generators(result):
+        return False
     group = result.group
     d = result.distances
+    labels = group.class_labels
     diameter = result.diameter
-    layers = {
-        lvl: np.nonzero(d == lvl)[0] for lvl in range(1, diameter)
-    }
-    for i in layers:
-        for j in layers:
+    layers = {lvl: np.flatnonzero(d == lvl) for lvl in range(1, diameter - 1)}
+    for i, left in layers.items():
+        reps = left[labels[left] == left].tolist()
+        for j, right in layers.items():
             if i + j >= diameter:
                 continue
-            left, right = layers[i], layers[j]
-            if left.size * right.size > pair_cap:
+            if len(reps) * right.size > pair_cap:
                 raise CapExceededError(
-                    f"layer pair ({i},{j}) needs {left.size * right.size} products"
+                    f"layer pair ({i},{j}) needs {len(reps) * right.size} products"
                 )
-            rdigits, rshifts = group.decode_batch(right)
-            rvecs = np.stack(rdigits, axis=1).tolist()
-            rshifts = rshifts.tolist()
-            for _, k, digits in _shift_blocks(group, left):
-                for prods in _right_products(group, k, digits, rvecs, rshifts):
+            blocks = list(_shift_blocks(group, right))
+            for rep in reps:
+                for _, prods in _times(group, blocks, rep):
                     if (d[prods] > i + j).any():
                         return False
     return True
@@ -696,15 +772,16 @@ def validate_triangle_layers(
 def validate_invariance_generators(result: BfsResult) -> bool:
     """Invariance under conjugation by the standard generators.
 
-    Conjugation-invariance under a generating set implies invariance under
-    the whole group, so this is exhaustive in effect.
+    They generate the truncation, and invariance under y also gives it under
+    y^-1, so by induction on word length this is invariance under every
+    conjugation.
     """
     group = result.group
     d = result.distances
+    ys = [group.encode(y) for y in standard_generators(group)]
     codes = np.arange(len(group), dtype=np.int64)
     return all(
-        (d[batch_conjugate(group, codes, group.encode(y))] == d).all()
-        for y in standard_generators(group)
+        (d[conj] == d[pos]).all() for pos, _, conj in _conjugates(group, codes, ys)
     )
 
 

@@ -129,6 +129,35 @@ def test_axioms_validate_inline(capsys, s3_word_table):
     assert json.loads(out)["result"]["ok"]
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc[:-1] + [{"element": -1, "value": "1"}], "outside"),
+        (lambda doc: doc + [dict(doc[0])], "duplicate"),
+        (lambda doc: doc[:-1] + [{"element": 5}], "'value'"),
+    ],
+)
+def test_axioms_validate_malformed_table_is_structured_error(
+    capsys, s3_word_table, edit, message
+):
+    table_json = json.dumps(edit(s3_word_table.to_json()))
+    code, out, _ = run_cli(
+        capsys,
+        "axioms",
+        "validate",
+        "--group",
+        "S3",
+        "--table",
+        table_json,
+        "--thresholds",
+        "0,1,2",
+        "--theory",
+        "T_IMG",
+    )
+    assert code == 2
+    assert message in json.loads(out)["error"]
+
+
 def test_oracle_bfs_binary(capsys, tmp_path):
     out_path = tmp_path / "norms.bin"
     code, out, err = run_cli(

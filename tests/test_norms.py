@@ -248,6 +248,21 @@ def test_table_json_round_trip(s3, s3_word_table):
     assert again.values == s3_word_table.values
 
 
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda doc: doc[:-1] + [{"element": -1, "value": "1"}], "outside"),
+        (lambda doc: doc + [{"element": 6, "value": "1"}], "outside"),
+        (lambda doc: doc + [dict(doc[2])], "duplicate"),
+        (lambda doc: doc[:-1] + [{"element": 5}], "'value'"),
+        (lambda doc: doc[:-1] + [{"value": "1"}], "'element'"),
+    ],
+)
+def test_table_json_rejects_malformed_rows(s3, s3_word_table, edit, message):
+    with pytest.raises(ValueError, match=message):
+        NormTable.from_json(s3, edit(s3_word_table.to_json()))
+
+
 def test_random_quotient_is_min_over_coset(s4):
     rng = random.Random(11)
     gens = conjugacy_closure(s4, [s4.index[g] for g in s4.generators])

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 from itertools import product as iter_product
 
@@ -165,20 +167,158 @@ def test_bounded_norm_spot_agreement_a5(a5, a5_bfs):
 
 def test_standard_generators_generate(s3, s3_bfs):
     # every element is a product of standard generators: BFS over them reaches all
+    listed = FiniteGroup.from_elements(s3.elements)  # no recorded generators
+    assert listed.generators == () and listed.identity_index == 0
+    for base, count in ((s3, len(s3.generators) + 1), (listed, len(s3))):
+        group = TruncatedGroup(base, 1)
+        gens = [group.encode(g) for g in standard_generators(group)]
+        assert len(gens) == count
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s in gens:
+                    y = group.mul(x, s)
+                    if y not in seen:
+                        seen.add(y)
+                        nxt.append(y)
+            frontier = nxt
+        assert len(seen) == len(group)
+    assert (bfs_norms(listed, 1).distances == s3_bfs.distances).all()
+
+
+def _dense_bfs_reference(base, window):
+    """The dense BFS that preceded the class quotient, kept as a reference.
+
+    Every state is visited: each level expands forward from the frontier, or
+    probes the unvisited states backward, whichever set is smaller.
+    """
+    group = TruncatedGroup(base, window)
+    gvecs, gshifts = oracle._prep_generators(group, enumerate_Sbar(base, window))
+    order = len(group)
+    distances = np.full(order, 255, dtype=np.uint8)
+    visited = np.zeros(order, dtype=bool)
+    distances[0] = 0
+    visited[0] = True
+    frontier = np.array([0], dtype=np.int64)
+    layer_sizes = [1]
+    level = 0
+    while frontier.size:
+        level += 1
+        unvisited = np.flatnonzero(~visited)
+        if unvisited.size == 0:
+            break
+        if frontier.size <= unvisited.size:
+            reached = np.zeros(order, dtype=bool)
+            blocks = oracle._shift_blocks(group, frontier)
+            oracle._mark_products(group, blocks, gvecs, gshifts, reached)
+            new = np.flatnonzero(reached & ~visited)
+        else:
+            hit = np.zeros(unvisited.size, dtype=bool)
+            for pos, k, digits in oracle._shift_blocks(group, unvisited):
+                agg = np.zeros(pos.size, dtype=bool)
+                for prods in oracle._right_products(group, k, digits, gvecs, gshifts):
+                    agg |= visited[prods]
+                hit[pos] = agg
+            new = unvisited[hit]
+        if new.size == 0:
+            break
+        distances[new] = level
+        visited[new] = True
+        frontier = new
+        layer_sizes.append(int(new.size))
+    return distances, layer_sizes
+
+
+def _class_count(result):
+    labels = result.group.class_labels
+    return int(np.count_nonzero(labels == np.arange(labels.size)))
+
+
+@pytest.mark.parametrize(
+    "name,window,classes",
+    [("s3", 1, 17), ("a4", 1, 32), ("s4", 1, 55), ("s3", 2, 63), ("a5", 1, 55)],
+)
+def test_class_bfs_matches_dense_reference(request, name, window, classes):
+    base = request.getfixturevalue(name)
+    res = bfs_norms(base, window)
+    distances, layer_sizes = _dense_bfs_reference(base, window)
+    assert res.distances.tobytes() == distances.tobytes()
+    assert res.layer_sizes == layer_sizes
+    k, w = len(base.conj_classes.classes), 2 * window + 1
+    assert _class_count(res) == (k**w - k) // w + k + (w - 1) * k == classes
+
+
+def test_class_labels_are_class_minima(s3_bfs):
     group = s3_bfs.group
-    gens = [group.encode(g) for g in standard_generators(group)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = group.mul(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    assert len(seen) == len(group)
+    labels = group.class_labels
+    assert labels.dtype == np.int32
+    assert (labels <= np.arange(len(group))).all()
+    rng = random.Random(3)
+    for _ in range(40):
+        x, y = rng.randrange(len(group)), rng.randrange(len(group))
+        assert labels[group.conj(x, y)] == labels[x]
+
+
+def test_bfs_guards_the_unreached_sentinel(s3, monkeypatch):
+    # with the sentinel at 2, the S3 w1 BFS (diameter 3) must stop at level 2
+    monkeypatch.setattr(oracle, "UNREACHED", 2)
+    with pytest.raises(RuntimeError, match="sentinel"):
+        bfs_norms(s3, 1)
+
+
+def test_validators_reject_a_non_invariant_table(s3_bfs):
+    # one non-representative generator pushed to distance 2: the triangle
+    # inequality still holds, invariance fails, and the class-representative
+    # triangle check must refuse the table rather than miss it
+    labels = s3_bfs.group.class_labels
+    d = s3_bfs.distances.copy()
+    x = np.flatnonzero((labels != np.arange(d.size)) & (d == 1))[0]
+    d[x] = 2
+    broken = dataclasses.replace(s3_bfs, distances=d)
+    assert not validate_invariance_generators(broken)
+    assert not validate_triangle_layers(broken)
+
+
+def test_triangle_rejects_a_class_moved_up_a_layer(s3_bfs):
+    labels = s3_bfs.group.class_labels
+    d = s3_bfs.distances.copy()
+    rep = np.flatnonzero((labels == np.arange(d.size)) & (d == 2))[0]
+    d[labels == rep] = 3
+    moved = dataclasses.replace(s3_bfs, distances=d)
+    assert validate_invariance_generators(moved)
+    assert not validate_triangle_layers(moved)
+
+
+# sha256 of the A4 w2 distance body from the dense reference BFS
+A4W2_SHA256 = "aff20f0089606478d8a95283ed66eaca4f8d0fc1e64d7ecb7b1ee73a10a34329"
+
+
+def test_a4_window_two_ground_truth(a4):
+    res = bfs_norms(a4, 2)
+    assert len(res.group) == 1_244_160
+    assert res.generator_count == 41_527
+    # pinned from one run of _dense_bfs_reference (minutes; kept out of the suite)
+    assert res.layer_sizes == [1, 41527, 705808, 496824]
+    assert hashlib.sha256(res.distances.tobytes()).hexdigest() == A4W2_SHA256
+    assert _class_count(res) == 224
+    for validator in (
+        validate_definiteness,
+        validate_symmetry,
+        validate_triangle_layers,
+        validate_invariance_generators,
+        validate_shift_bound,
+    ):
+        assert validator(res)
+    ctx = SbarContext(res.group)
+    rng = random.Random(4)
+    for _ in range(200):
+        code = rng.randrange(len(res.group))
+        expected = int(res.distances[code])
+        got = bounded_norm(ctx, res.group.decode(code), 2)
+        assert got == (expected if expected <= 2 else None)
+    assert "ball2" not in vars(ctx)
 
 
 def test_binary_round_trip(tmp_path, s3_bfs):
