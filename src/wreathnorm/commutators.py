@@ -17,15 +17,16 @@ the support to consecutive indices, which is harmless in both directions):
 * w = 0: trivially yes;  w = 1: never (the two telescoping factor conditions
   force the single remaining value to cancel);
 * w = 2: yes iff the second value is conjugate to the inverse of the first;
-* w = 3: yes iff the class-product predicate xi holds on the value triple
-  (argument variant switchable, see ``XI_VARIANTS``);
+* w = 3: yes iff the class-product predicate xi holds on the value triple;
 * w >= 4: always, provided the base group satisfies S3.
 
 Two candidate argument conventions exist for the weight-3 test,
-xi(h1, h2, h3) ("direct") and xi(h1^-1, h2^-1, h3) ("inverted"); both sit
-behind ``variant``.  They agree on any group whose classes are closed under
-inversion (A5, S3) and are separated by cyclic base groups; exhaustive
-small-window searches pin "direct" as the correct one.
+xi(h1, h2, h3) ("direct") and xi(h1^-1, h2^-1, h3) ("inverted").  They agree
+on any group whose classes are closed under inversion (A5, S3) and are
+separated by cyclic base groups; exhaustive small-window searches pin
+"direct" as the correct one (``RESOLVED_XI_VARIANT``).  Everything else uses
+that default; ``is_pm_commutator`` keeps its ``variant`` argument only so the
+acceptance gate can show that the inverted convention is refuted.
 """
 
 from __future__ import annotations
@@ -38,6 +39,14 @@ from .lamp import LampElem
 from .props import SolverError, require_statements, solve_S1_instance, solve_S2_instance, solve_S3_instance, xi
 
 XI_VARIANTS = ("direct", "inverted")
+RESOLVED_XI_VARIANT = "direct"
+"""Argument variant of xi used in the weight-3 branch.
+
+The direct variant xi(h1, h2, h3) and the inverted variant
+xi(h1^-1, h2^-1, h3) coincide on bases whose classes are inverse-closed; the
+exhaustive small-window equivalence test over a cyclic base separates them
+and confirms the direct one.
+"""
 PmOrder = Literal["+-", "-+"]
 
 
@@ -280,7 +289,7 @@ def build_2_commutator(h: LampElem, sign: int) -> CommWitness:
 # -- the mixed-commutator decision --------------------------------------------
 
 
-def is_pm_commutator(h: LampElem, variant: str = "direct") -> bool:
+def is_pm_commutator(h: LampElem, variant: str = RESOLVED_XI_VARIANT) -> bool:
     """Decide the mixed-commutator property from the ordered support values."""
     if variant not in XI_VARIANTS:
         raise ValueError(f"variant must be one of {XI_VARIANTS}")
@@ -297,16 +306,12 @@ def is_pm_commutator(h: LampElem, variant: str = "direct") -> bool:
         v1, v2 = values
         return base.first_conjugator(base.inv(v1), v2) is not None
     if w == 3:
-        return _xi_variant(base, values, variant)
+        v1, v2, v3 = values
+        if variant == "inverted":
+            v1, v2 = base.inv(v1), base.inv(v2)
+        return xi(base, v1, v2, v3)
     require_statements(base, ("S3",))
     return True
-
-
-def _xi_variant(base: FiniteGroup, values: Sequence[int], variant: str) -> bool:
-    v1, v2, v3 = values
-    if variant == "direct":
-        return xi(base, v1, v2, v3)
-    return xi(base, base.inv(v1), base.inv(v2), v3)
 
 
 def reverse_element(x: LampElem, about: int = 0) -> LampElem:

@@ -13,8 +13,18 @@ depends only on the shift and on cheap predicates of the torsion part:
     2            shift +-1 otherwise
     |m|          |shift| = |m| > 1
 
-The same case table evaluates on truncations with cyclic predicates.  Windows
-of size >= 7 with a base satisfying S1-S4 run in "theory" mode, mirroring the
+One function, :func:`case_norm`, holds this table; its only parameter is the
+predicate for the mixed-commutator row.  Three predicates fill it:
+
+* ``is_pm_commutator`` in the infinite group (:func:`norm_gz`);
+* the cyclic ``pm_commutator_truncated`` on truncations
+  (:func:`norm_truncated`);
+* in the acceptance gate, the acyclic predicate on the canonical
+  linearization, whose disagreements with BFS isolate the wrap-around cases.
+
+The weight-3 test uses the resolved argument order of xi
+(``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations, windows of
+size >= 7 with a base satisfying S1-S4 run in "theory" mode, mirroring the
 window margins of the almost-homomorphism construction; smaller windows run in
 "oracle" mode where the value is advisory and breadth-first search over the
 actual Cayley graph is authoritative.  Full-support torsion in oracle mode is
@@ -29,6 +39,7 @@ from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
 
 from .commutators import (
+    RESOLVED_XI_VARIANT,  # re-exported: the recorded xi decision
     SolverError,
     build_2_commutator,
     build_pm1_decomposition,
@@ -37,18 +48,9 @@ from .commutators import (
     factor_plus,
     is_pm_commutator,
 )
-from .groups import CapExceededError, FiniteGroup
+from .groups import CapExceededError
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
-from .props import require_statements, satisfies_s_conditions, xi
-
-RESOLVED_XI_VARIANT = "direct"
-"""Argument variant of xi used in the weight-3 branch.
-
-The direct variant xi(h1, h2, h3) and the inverted variant
-xi(h1^-1, h2^-1, h3) coincide on bases whose classes are inverse-closed; the
-exhaustive small-window equivalence test over a cyclic base separates them
-and confirms the direct one.
-"""
+from .props import require_statements, satisfies_s_conditions, statement_holds
 
 PM_SEARCH_CAP = 2_000_000
 
@@ -57,28 +59,27 @@ def _torsion(g: LampElem) -> LampElem:
     return LampElem.make(g.base, dict(g.support), 0, g.window)
 
 
-def norm_gz(g: LampElem, variant: str = RESOLVED_XI_VARIANT) -> int:
-    """Exact word norm in the infinite-mode group (base must satisfy S1-S4)."""
-    if g.window is not None:
-        raise ValueError("norm_gz expects infinite mode; see norm_truncated")
-    require_statements(g.base, ("S1", "S2", "S3", "S4"))
+def case_norm(g: LampElem, mixed: Callable[[LampElem], bool]) -> int:
+    """The case table; ``mixed`` decides the shift-0 rows of weight >= 3."""
     m, w = g.shift, g.weight()
     if m == 0:
-        if w == 0:
-            return 0
-        if w == 1:
-            return 1
-        if w == 2:
-            return 2
-        return 2 if is_pm_commutator(_torsion(g), variant) else 3
+        if w <= 2:
+            return w
+        return 2 if mixed(g) else 3
     if abs(m) == 1:
         return 1 if (in_Tplus(g) or in_Tminus(g)) else 2
     return abs(m)
 
 
-def norm_truncated(
-    g: LampElem, mode: str = "auto", variant: str = RESOLVED_XI_VARIANT
-) -> int:
+def norm_gz(g: LampElem) -> int:
+    """Exact word norm in the infinite-mode group (base must satisfy S1-S4)."""
+    if g.window is not None:
+        raise ValueError("norm_gz expects infinite mode; see norm_truncated")
+    require_statements(g.base, ("S1", "S2", "S3", "S4"))
+    return case_norm(g, is_pm_commutator)
+
+
+def norm_truncated(g: LampElem, mode: str = "auto") -> int:
     """Case-table norm on a truncation, with cyclic predicates.
 
     ``mode`` is "theory" (window >= 7, base satisfying S1-S4: the value is the
@@ -97,69 +98,29 @@ def norm_truncated(
         require_statements(g.base, ("S1", "S2", "S3", "S4"))
     elif mode != "oracle":
         raise ValueError("mode must be 'auto', 'theory' or 'oracle'")
-    m, w = g.shift, g.weight()
-    if m == 0:
-        if w == 0:
-            return 0
-        if w == 1:
-            return 1
-        if w == 2:
-            return 2
-        return 2 if pm_commutator_truncated(_torsion(g), variant) else 3
-    if abs(m) == 1:
-        return 1 if (in_Tplus(g) or in_Tminus(g)) else 2
-    return abs(m)
+    return case_norm(g, pm_commutator_truncated)
 
 
-def pm_commutator_truncated(
-    h: LampElem, variant: str = RESOLVED_XI_VARIANT, cap: int = PM_SEARCH_CAP
-) -> bool:
+def pm_commutator_truncated(h: LampElem) -> bool:
     """Mixed-commutator test with cyclic index arithmetic.
 
     With a gap in the support the circle can be cut there and the acyclic
     decision applies (the class-product predicate is invariant under cyclic
-    rotation of its arguments, so the cut position does not matter).  With
-    full support the question wraps; weight >= 4 over an S3 base is always
-    yes, and everything else falls back to capped exhaustive search over
-    factor pairs.
+    rotation of its arguments, so the cut position does not matter).  Weight
+    >= 4 over an S3 base is always yes, gap or not.  Everything else (full
+    support of weight <= 3, weight >= 4 without S3) falls back to capped
+    exhaustive search over factor pairs.
     """
     if h.window is None or h.shift != 0:
         raise ValueError("expects a shift-0 truncated element")
-    base = h.base
-    width = 2 * h.window + 1
     w = h.weight()
-    if w == 0:
-        return True
-    if w == 1:
-        return False
-    if w == 2:
-        v1, v2 = h.support_values()
-        return base.first_conjugator(base.inv(v1), v2) is not None
-    if w < width:
-        if w == 3:
-            v1, v2, v3 = h.support_values()
-            if variant == "direct":
-                return xi(base, v1, v2, v3)
-            return xi(base, base.inv(v1), base.inv(v2), v3)
-        if _has_s3(base):
-            return True
-        return _pm_cyclic_exhaustive(h, cap) is not None
-    if w >= 4 and _has_s3(base):
-        return True
-    return _pm_cyclic_exhaustive(h, cap) is not None
+    gap = w < 2 * h.window + 1
+    if (gap and w <= 3) or (w >= 4 and statement_holds(h.base, "S3")):
+        return is_pm_commutator(h)
+    return _pm_cyclic_exhaustive(h) is not None
 
 
-def _has_s3(base: FiniteGroup) -> bool:
-    try:
-        require_statements(base, ("S3",))
-        return True
-    except ValueError:
-        return False
-
-
-def _pm_cyclic_exhaustive(
-    h: LampElem, cap: int = PM_SEARCH_CAP
-) -> tuple[str, LampElem, LampElem] | None:
+def _pm_cyclic_exhaustive(h: LampElem) -> tuple[str, LampElem, LampElem] | None:
     """Search factor pairs u, v with h = u.v pointwise, for both sign orders.
 
     A "-+" pair needs the decreasing cyclic product of u and the increasing
@@ -171,7 +132,7 @@ def _pm_cyclic_exhaustive(
     assert n is not None
     width = 2 * n + 1
     total = len(base) ** (width - 1)
-    if total > cap:
+    if total > PM_SEARCH_CAP:
         raise CapExceededError(f"cyclic factor search would visit {total} states")
     positions = list(range(-n, n + 1))
     hvals = [h.value_at(i) for i in positions]
@@ -216,17 +177,14 @@ class Geodesic:
         return len(self.factors)
 
 
-def geodesic(g: LampElem, variant: str = RESOLVED_XI_VARIANT) -> Geodesic:
+def geodesic(g: LampElem) -> Geodesic:
     """Geodesic factorization realizing the case-table norm."""
     base = g.base
     window = g.window
     t = LampElem.t_power(base, 1, window)
     t_inv = LampElem.t_power(base, -1, window)
     m, w = g.shift, g.weight()
-    if window is None:
-        norm = norm_gz(g, variant)
-    else:
-        norm = norm_truncated(g, variant=variant)
+    norm = norm_gz(g) if window is None else norm_truncated(g)
     if norm == 0:
         return Geodesic(g, ())
     if norm == 1:
@@ -239,7 +197,7 @@ def geodesic(g: LampElem, variant: str = RESOLVED_XI_VARIANT) -> Geodesic:
             )
             return Geodesic(g, singles)
         if norm == 2:
-            order, u, v = _pm_witness_factors(torsion, variant)
+            order, u, v = _pm_witness_factors(torsion)
             if order == "-+":
                 s1 = u.mul(t_inv)
                 s2 = v.alpha(1).mul(t)
@@ -282,9 +240,7 @@ def geodesic(g: LampElem, variant: str = RESOLVED_XI_VARIANT) -> Geodesic:
     return Geodesic(g, (s1, s2) + (t_inv,) * (-m - 2))
 
 
-def _pm_witness_factors(
-    h: LampElem, variant: str
-) -> tuple[str, LampElem, LampElem]:
+def _pm_witness_factors(h: LampElem) -> tuple[str, LampElem, LampElem]:
     """Factor pair (order, u, v) with h = u*v pointwise.
 
     For order "-+" the vector u has vanishing decreasing product (it feeds a

@@ -147,7 +147,6 @@ class TruncatedGroup:
         mul = np.array(self.base._mul_table, dtype=np.int64)
         mulT = np.ascontiguousarray(mul.T)
         return {
-            "mul": mul,
             # per-element gather rows; None marks the identity (element 0)
             "mul_rows": [None] + list(mul[1:]),
             "mulT_rows": [None] + list(mulT[1:]),
@@ -313,45 +312,11 @@ def _conjugates(group: TruncatedGroup, codes: np.ndarray, by_codes: Sequence[int
             yield pos, i, _encode(group, digits, luts, kappa, k)
 
 
-def batch_conjugate(
-    group: TruncatedGroup, codes: np.ndarray, by_code: int
-) -> np.ndarray:
-    """y^-1 x y for every x in codes, one gather per digit."""
-    out = np.empty(codes.size, dtype=np.int64)
-    for pos, _, conj in _conjugates(group, codes, [by_code]):
-        out[pos] = conj
-    return out
-
-
 def _inverses(group: TruncatedGroup, codes: np.ndarray):
     """Yield (positions, codes of x^-1) per shift block of ``codes``."""
     luts = [group.np_tables["inv"]] * group.code.width
     for pos, k, digits in _shift_blocks(group, codes):
         yield pos, _encode(group, digits, luts, -k, -k)
-
-
-def batch_inverse(group: TruncatedGroup, codes: np.ndarray) -> np.ndarray:
-    out = np.empty(codes.size, dtype=np.int64)
-    for pos, inv in _inverses(group, codes):
-        out[pos] = inv
-    return out
-
-
-def in_sbar_batch(group: TruncatedGroup, codes: np.ndarray) -> np.ndarray:
-    """Vectorized membership in the conjugacy-closed generating set."""
-    w = group.code.width
-    mul = group.np_tables["mul"]
-    digits, shifts = group.decode_batch(codes)
-    nonid = sum((d != 0).astype(np.int64) for d in digits)
-    single = (shifts == 0) & (nonid == 1)
-    inc = digits[0].copy()
-    dec = digits[w - 1].copy()
-    for j in range(1, w):
-        inc = mul[inc, digits[j]]
-        dec = mul[dec, digits[w - 1 - j]]
-    tplus = (shifts == 1 % w) & (inc == 0)
-    tminus = (shifts == (w - 1) % w) & (dec == 0)
-    return single | tplus | tminus
 
 
 # -- generators ----------------------------------------------------------------

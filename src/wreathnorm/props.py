@@ -201,7 +201,8 @@ def check_all(group: FiniteGroup) -> dict[str, PropReport]:
 _CHECKERS = {"S1": check_S1, "S2": check_S2, "S3": check_S3, "S4": check_S4}
 
 
-def _statement_holds(group: FiniteGroup, name: str) -> bool:
+def statement_holds(group: FiniteGroup, name: str) -> bool:
+    """Whether the group satisfies the named statement (checked once per group)."""
     verdicts = group._statement_verdicts
     if name not in verdicts:
         verdicts[name] = _CHECKERS[name](group).holds
@@ -211,14 +212,14 @@ def _statement_holds(group: FiniteGroup, name: str) -> bool:
 def require_statements(group: FiniteGroup, names: tuple[str, ...]) -> None:
     """Raise unless the group satisfies the named statements (cached checks)."""
     for name in names:
-        if not _statement_holds(group, name):
+        if not statement_holds(group, name):
             raise ValueError(
                 f"base group fails ({name}); {'+'.join(names)} required here"
             )
 
 
 def satisfies_s_conditions(group: FiniteGroup) -> bool:
-    return all(_statement_holds(group, name) for name in ("S1", "S2", "S3", "S4"))
+    return all(statement_holds(group, name) for name in ("S1", "S2", "S3", "S4"))
 
 
 def solve_S1_instance(group: FiniteGroup, a1: int, a2: int) -> tuple[int, int]:

@@ -1,11 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from wreathnorm.acceptance import acyclic_mixed
 from wreathnorm.commutators import is_pm_commutator
-from wreathnorm.groups import perm_from_cycles
+from wreathnorm.groups import builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
+    case_norm,
     check_geodesic,
     geodesic,
     max_extent,
@@ -17,6 +20,7 @@ from wreathnorm.gznorm import (
     verify_KQ_almost_hom,
 )
 from wreathnorm.lamp import LampElem, in_Tminus, in_Tplus
+from wreathnorm.oracle import bfs_norms
 
 
 def rand_elem(rng, base, max_w=5, span=4, max_shift=4, window=None):
@@ -159,10 +163,45 @@ def test_pm_truncated_full_support_cyclic_search(s3):
     yes = LampElem.make(s3, {-1: 3, 0: 3, 1: 3}, 0, window=1)
     result = pm_commutator_truncated(yes)
     # cross-check against a brute-force over the tiny truncation
-    from wreathnorm.oracle import bfs_norms
-
     res = bfs_norms(s3, 1)
     assert result == (res.norm_of(yes) == 2)
+
+
+# (base, window) -> states compared and the disagreements with BFS, as
+# (shift, table value, BFS value) -> count; the same for both tables
+CASE_TABLE_PINS = {
+    ("S3", 1): (648, {}),
+    ("A4", 1): (5184, {}),
+    ("S3", 2): (32630, {(2, 2, 3): 3888, (-2, 2, 3): 3888}),
+}
+
+
+@pytest.mark.parametrize("name, window", list(CASE_TABLE_PINS), ids=["S3w1", "A4w1", "S3w2"])
+def test_case_tables_against_bfs(name, window):
+    # Oracle-mode norm_truncated (cyclic predicates) and the acyclic table of
+    # criterion C5 against BFS.  Shift-0 weight >= 4 is left out: over S3 each
+    # such state runs the cyclic exhaustive search.
+    res = bfs_norms(builtin_group(name), window)
+    tables = {
+        "cyclic": lambda g: norm_truncated(g, mode="oracle"),
+        "acyclic": lambda g: case_norm(g, acyclic_mixed),
+    }
+    disagree = {key: Counter() for key in tables}
+    checked = 0
+    for code in range(len(res.group)):
+        g = res.group.decode(code)
+        if g.shift == 0 and g.weight() >= 4:
+            continue
+        checked += 1
+        bfs_val = int(res.distances[code])
+        for key, table in tables.items():
+            value = table(g)
+            if value != bfs_val:
+                disagree[key][(g.shift, value, bfs_val)] += 1
+    expected_checked, expected = CASE_TABLE_PINS[name, window]
+    assert checked == expected_checked
+    assert dict(disagree["cyclic"]) == expected
+    assert dict(disagree["acyclic"]) == expected
 
 
 def test_phi_rows(a5):

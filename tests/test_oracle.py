@@ -12,13 +12,10 @@ from wreathnorm.lamp import LampElem, in_Sbar
 from wreathnorm.oracle import (
     SbarContext,
     TruncatedGroup,
-    batch_conjugate,
-    batch_inverse,
     bfs_norms,
     bounded_norm,
     enumerate_Sbar,
     factor_image,
-    in_sbar_batch,
     pm_pair_image,
     pm_weight3_exhaustive,
     read_norms_binary,
@@ -96,14 +93,16 @@ def test_code_arithmetic_matches_elements(s3):
 def test_batch_helpers(s3):
     group = TruncatedGroup(s3, 1)
     codes = np.arange(len(group), dtype=np.int64)
-    inv = batch_inverse(group, codes)
+    inv = np.empty_like(codes)
+    for pos, block in oracle._inverses(group, codes):
+        inv[pos] = block
     assert all(int(inv[c]) == group.inv(int(c)) for c in codes[::17])
-    for by in (123, 124, 125):  # one conjugator per shift residue
-        conj = batch_conjugate(group, codes, by)
-        assert all(int(conj[c]) == group.conj(int(c), by) for c in codes[::17])
-    member = in_sbar_batch(group, codes)
-    for c in range(0, len(group), 13):
-        assert bool(member[c]) == in_Sbar(group.decode(c))
+    by = (123, 124, 125)  # one conjugator per shift residue
+    conj = np.empty((len(by), codes.size), dtype=np.int64)
+    for pos, i, block in oracle._conjugates(group, codes, by):
+        conj[i, pos] = block
+    for i, y in enumerate(by):
+        assert all(int(conj[i, c]) == group.conj(int(c), y) for c in codes[::17])
 
 
 def test_bfs_matches_set_power_oracle(s3, s3_bfs):
