@@ -170,9 +170,11 @@ def cmd_decompose(args) -> int:
 def cmd_almost_hom_verify(args) -> int:
     base = parse_group_spec(args.group)
     docs = json.loads(args.k)
+    if not isinstance(docs, list):
+        raise ValueError("--k must be a JSON list of element documents")
     k_set = [LampElem.from_json(base, doc) for doc in docs]
     if any(e.window is not None for e in k_set):
-        raise SystemExit("K must consist of infinite-mode elements")
+        raise ValueError("K must consist of infinite-mode elements")
     q_set = _parse_qs(args.q)
     big_n = gz.max_extent(k_set)
     report = gz.verify_KQ_almost_hom(
@@ -305,6 +307,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except (
         ValueError,
+        OSError,
         pr.SolverError,
         cm.TransportError,
         oc.CapExceededError,

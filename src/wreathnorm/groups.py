@@ -7,7 +7,11 @@ fully enumerated; element order is BFS order from the identity with generators
 taken in input order, so every derived table is reproducible bit for bit.
 
 Groups are immutable after construction apart from derived tables, which are
-computed on first use and cached on the group itself.
+computed on first use and cached on the group itself.  Each group has exactly
+one conjugacy-class table, ``FiniteGroup.conj_classes``: ``conjugacy_classes``
+returns it, ``class_product`` memoizes on it, and ``normal_closure`` and
+``is_normal`` read it.  The S1-S4 reports of ``props`` are cached on the group
+the same way, so nothing here is keyed on ``id()``.
 """
 
 from __future__ import annotations
@@ -46,11 +50,6 @@ def inverse_perm(p: Perm) -> Perm:
     for i, j in enumerate(p):
         inv[j] = i
     return tuple(inv)
-
-
-def conj_perm(g: Perm, h: Perm) -> Perm:
-    """Conjugate ``h^-1 g h`` under the left-to-right convention."""
-    return compose(compose(inverse_perm(h), g), h)
 
 
 def perm_from_cycles(degree: int, cycles: Iterable[Sequence[int]]) -> Perm:
@@ -153,16 +152,12 @@ class FiniteGroup:
 
     @cached_property
     def conj_classes(self) -> ConjClassTable:
+        """The group's one class table; it also memoizes class products."""
         return ConjClassTable(self)
 
     @cached_property
-    def _class_products(self) -> dict[tuple[int, int], frozenset[int]]:
-        """(c1, c2) -> class product over ``conj_classes``, filled on demand."""
-        return {}
-
-    @cached_property
-    def _statement_verdicts(self) -> dict[str, bool]:
-        """S-statement name -> whether it holds, filled on demand by ``props``."""
+    def _statement_reports(self) -> dict:
+        """S-statement name -> its ``props.PropReport``, filled on demand."""
         return {}
 
 
@@ -204,15 +199,16 @@ def generate_group(
 
 
 class ConjClassTable:
-    """Partition of a group into conjugacy classes.
+    """Partition of a group into conjugacy classes, with memoized class products.
 
     ``class_of[i]`` is the class id of element i; ``classes[c]`` is the set of
     element indices in class c.  Class ids are assigned in order of first
-    appearance along the element order, so the identity is always class 0.
+    appearance along the element order, so the identity is always class 0 and
+    the class minima, ``representatives()``, ascend with the class id.
+    ``products`` caches :func:`class_product` results by class-id pair.
     """
 
     def __init__(self, group: FiniteGroup):
-        self.group = group
         n = len(group)
         class_of = [-1] * n
         classes: list[frozenset[int]] = []
@@ -226,6 +222,7 @@ class ConjClassTable:
             classes.append(frozenset(members))
         self.class_of: tuple[int, ...] = tuple(class_of)
         self.classes: tuple[frozenset[int], ...] = tuple(classes)
+        self.products: dict[tuple[int, int], frozenset[int]] = {}
 
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
@@ -235,20 +232,25 @@ class ConjClassTable:
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
-    return ConjClassTable(group)
+    """The group's class table, ``group.conj_classes`` (built on first use)."""
+    return group.conj_classes
 
 
 def class_product(
     group: FiniteGroup, table: ConjClassTable, c1: int, c2: int
 ) -> frozenset[int]:
-    """All products a*b with a in class c1 and b in class c2."""
+    """All products a*b with a in class c1 and b in class c2 (memoized)."""
+    product = table.products.get((c1, c2))
+    if product is not None:
+        return product
     if not (0 <= c1 < len(table.classes) and 0 <= c2 < len(table.classes)):
         raise ValueError("invalid class id")
     out = set()
     for a in table.classes[c1]:
         row = group._mul_table[a]
         out.update(row[b] for b in table.classes[c2])
-    return frozenset(out)
+    product = table.products[(c1, c2)] = frozenset(out)
+    return product
 
 
 def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
@@ -272,9 +274,8 @@ def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
 
 
 def normal_closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:
-    conj_seed = {
-        group.conj(a, x) for a in seed for x in range(len(group))
-    }
+    table = group.conj_classes
+    conj_seed = {c for a in seed for c in table.classes[table.class_of[a]]}
     return subgroup_closure(group, conj_seed)
 
 
@@ -293,9 +294,8 @@ def is_normal(group: FiniteGroup, subset: Iterable[int]) -> bool:
     members = frozenset(subset)
     if not is_subgroup(group, members):
         return False
-    return all(
-        group.conj(a, x) in members for a in members for x in range(len(group))
-    )
+    table = group.conj_classes
+    return all(table.classes[table.class_of[a]] <= members for a in members)
 
 
 # Built-in group specs.  "Z<n>" is accepted for any small n.

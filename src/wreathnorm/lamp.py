@@ -177,17 +177,25 @@ class LampElem:
 
     @staticmethod
     def from_json(base: FiniteGroup, doc: Mapping | str) -> "LampElem":
+        """Parse :meth:`to_json` output; ValueError if malformed (a bool is no int)."""
         if isinstance(doc, str):
             doc = json.loads(doc)
+        if not isinstance(doc, Mapping):
+            raise ValueError(f"an element must be a JSON object, got {doc!r}")
         mode = doc.get("mode", "infinite")
-        window = None if mode == "infinite" else int(mode["truncated"])
+        window = mode.get("truncated") if isinstance(mode, Mapping) else None
+        if mode != "infinite" and type(window) is not int:
+            raise ValueError(f"element mode {mode!r} is not infinite or truncated(n)")
+        shift, values = doc.get("shift", 0), doc.get("support", {})
+        if type(shift) is not int or not isinstance(values, Mapping):
+            raise ValueError("element shift must be an integer and support an object")
         support = {}
-        for key, images in doc.get("support", {}).items():
-            perm = tuple(int(x) for x in images)
-            if perm not in base.index:
-                raise ValueError(f"support value {perm} not in the base group")
-            support[int(key)] = base.index[perm]
-        return LampElem.make(base, support, int(doc.get("shift", 0)), window)
+        for key, images in values.items():
+            ints = isinstance(images, list) and all(type(x) is int for x in images)
+            if not ints or tuple(images) not in base.index:
+                raise ValueError(f"support value {images!r} not in the base group")
+            support[int(key)] = base.index[tuple(images)]
+        return LampElem.make(base, support, shift, window)
 
 
 def _reduce(value: int, n: int) -> int:

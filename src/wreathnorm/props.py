@@ -1,13 +1,29 @@
 """The four base-group conditions S1-S4 and the class-product predicate Xi.
 
 ``xi(P, u1, u2, u3)`` holds iff u3 lies in the product of the conjugacy
-classes of u2^-1 and u1^-1.  Class products commute as sets, so xi is fully
-symmetric in its three arguments; the checkers exploit that by quantifying
-over class representatives wherever a statement is class-invariant.  Raw-tuple
-evaluation survives as a slow oracle mode for cross-checks.
+classes of u2^-1 and u1^-1, read from the group's one class table
+(``FiniteGroup.conj_classes``, which memoizes class products).  Class products
+commute as sets, so xi is fully symmetric in its three arguments.
 
-Instance solvers return the first solution in element order (loop order
-documented per solver), so witnesses are reproducible.
+Every statement is a class function, and every checker scans classes: S3 and
+S4 range over class triples and pairs, S1 and S2 range a1 over class minima.
+The S1/S2 witness is still the first failure of the scan over all elements in
+element order.  Proof: conjugating either equation by g gives the same
+equation in a1^g, a3^g and the conjugated unknowns, so the reachable set of
+a1^g (with a3^g) is the g-conjugate of that of a1 (with a3), and one is the
+whole group iff the other is.  The a1 that fail (for some a3) therefore form a
+union of classes, so the smallest of them is the minimum of its class.  Class
+minima ascend with the class id, so it is also the first failing
+representative, and the a3 and a2 of the witness are computed from it exactly
+as before.  At a1 = 1, S1 says that every element is a commutator, which
+O. Ore proved for A_n (Proc. AMS 2, 1951).  ``_check_S3_raw`` and ``xi_naive``
+evaluate raw tuples and survive as slow oracles for cross-checks.
+
+``check_all``, ``statement_holds``, ``require_statements`` and
+``satisfies_s_conditions`` share one report cache on the group, so each
+statement is computed at most once per group object.  Instance solvers return
+the first solution in element order (loop order documented per solver), so
+witnesses are reproducible.
 """
 
 from __future__ import annotations
@@ -35,19 +51,12 @@ class PropReport:
         }
 
 
-def _class_prod(group: FiniteGroup, c1: int, c2: int) -> frozenset[int]:
-    memo = group._class_products
-    if (c1, c2) not in memo:
-        memo[(c1, c2)] = class_product(group, group.conj_classes, c1, c2)
-    return memo[(c1, c2)]
-
-
 def xi(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
     """True iff u3 = x^-1 u2^-1 x y^-1 u1^-1 y is solvable."""
     table = group.conj_classes
     c2 = table.class_of[group.inv(u2)]
     c1 = table.class_of[group.inv(u1)]
-    return u3 in _class_prod(group, c2, c1)
+    return u3 in class_product(group, table, c2, c1)
 
 
 def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
@@ -63,35 +72,30 @@ def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
     return False
 
 
-def _s1_reachable(group: FiniteGroup, a1: int) -> set[int]:
-    """{x^-1 a1^-1 y x y^-1} = union over x of x^-1 a1^-1 * class(x)."""
-    table = group.conj_classes
-    ia1 = group.inv(a1)
-    out: set[int] = set()
-    for x in range(len(group)):
-        prefix = group.mul(group.inv(x), ia1)
-        cls = table.classes[table.class_of[x]]
-        out.update(group.mul(prefix, c) for c in cls)
-    return out
-
-
 def check_S1(group: FiniteGroup) -> PropReport:
-    """S1: every a2 equals x^-1 a1^-1 y x y^-1 for every a1."""
+    """S1: every a2 equals x^-1 a1^-1 y x y^-1 for every a1; a1 scans class minima."""
+    table = group.conj_classes
     full = set(range(len(group)))
-    for a1 in range(len(group)):
-        reachable = _s1_reachable(group, a1)
+    for a1 in table.representatives():
+        ia1 = group.inv(a1)
+        reachable: set[int] = set()  # union over x of x^-1 a1^-1 * class(x)
+        for x in range(len(group)):
+            row = group._mul_table[group.mul(group.inv(x), ia1)]
+            reachable.update(row[c] for c in table.classes[table.class_of[x]])
         if reachable != full:
-            a2 = min(full - reachable)
-            return PropReport("S1", False, (a1, a2))
+            return PropReport("S1", False, (a1, min(full - reachable)))
     return PropReport("S1", True, None)
 
 
 def check_S2(group: FiniteGroup) -> PropReport:
-    """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3."""
+    """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3.
+
+    a1 scans class minima only; the module docstring proves that exact.
+    """
     table = group.conj_classes
     n = len(group)
     full = set(range(n))
-    for a1 in range(n):
+    for a1 in table.representatives():
         ia1 = group.inv(a1)
         for a3 in range(n):
             ia3 = group.inv(a3)
@@ -102,8 +106,7 @@ def check_S2(group: FiniteGroup) -> PropReport:
                 cls = table.classes[table.class_of[group.inv(u)]]
                 reachable.update(row[c] for c in cls)
             if reachable != full:
-                a2 = min(full - reachable)
-                return PropReport("S2", False, (a1, a2, a3))
+                return PropReport("S2", False, (a1, min(full - reachable), a3))
     return PropReport("S2", True, None)
 
 
@@ -113,13 +116,12 @@ def check_S3(group: FiniteGroup, raw: bool = False) -> PropReport:
         return _check_S3_raw(group)
     table = group.conj_classes
     ident = group.identity_index
-    nontrivial = [
-        c for c in range(len(table.classes)) if table.classes[c] != frozenset({ident})
-    ]
+    reps = table.representatives()
+    nontrivial = [c for c, r in enumerate(reps) if r != ident]
     full = frozenset(range(len(group))) - {ident}
     for c1 in nontrivial:
         for c2 in nontrivial:
-            pair = _class_prod(group, c1, c2)
+            pair = class_product(group, table, c1, c2)
             for c3 in nontrivial:
                 covered = set()
                 for w in pair:
@@ -127,16 +129,7 @@ def check_S3(group: FiniteGroup, raw: bool = False) -> PropReport:
                     covered.update(row[z] for z in table.classes[c3])
                 if not full <= covered:
                     u4 = min(full - covered)
-                    return PropReport(
-                        "S3",
-                        False,
-                        (
-                            min(table.classes[c1]),
-                            min(table.classes[c2]),
-                            min(table.classes[c3]),
-                            u4,
-                        ),
-                    )
+                    return PropReport("S3", False, (reps[c1], reps[c2], reps[c3], u4))
     return PropReport("S3", True, None)
 
 
@@ -169,18 +162,11 @@ def check_S4(group: FiniteGroup) -> PropReport:
     """
     table = group.conj_classes
     ident = group.identity_index
-    nontrivial = [
-        c for c in range(len(table.classes)) if table.classes[c] != frozenset({ident})
-    ]
-    for c1 in nontrivial:
-        for c2 in nontrivial:
-            u1 = min(table.classes[c1])
-            u2 = min(table.classes[c2])
-            prod = _class_prod(
-                group,
-                table.class_of[group.inv(u2)],
-                table.class_of[group.inv(u1)],
-            )
+    nontrivial = [r for r in table.representatives() if r != ident]
+    for u1 in nontrivial:
+        for u2 in nontrivial:
+            c2, c1 = table.class_of[group.inv(u2)], table.class_of[group.inv(u1)]
+            prod = class_product(group, table, c2, c1)
             missing = [
                 u3 for u3 in range(len(group)) if u3 != ident and u3 not in prod
             ]
@@ -189,24 +175,24 @@ def check_S4(group: FiniteGroup) -> PropReport:
     return PropReport("S4", False, None)
 
 
-def check_all(group: FiniteGroup) -> dict[str, PropReport]:
-    return {
-        "S1": check_S1(group),
-        "S2": check_S2(group),
-        "S3": check_S3(group),
-        "S4": check_S4(group),
-    }
-
-
 _CHECKERS = {"S1": check_S1, "S2": check_S2, "S3": check_S3, "S4": check_S4}
+
+
+def _report(group: FiniteGroup, name: str) -> PropReport:
+    """The named statement's report, computed at most once per group."""
+    reports = group._statement_reports
+    if name not in reports:
+        reports[name] = _CHECKERS[name](group)
+    return reports[name]
+
+
+def check_all(group: FiniteGroup) -> dict[str, PropReport]:
+    return {name: _report(group, name) for name in _CHECKERS}
 
 
 def statement_holds(group: FiniteGroup, name: str) -> bool:
     """Whether the group satisfies the named statement (checked once per group)."""
-    verdicts = group._statement_verdicts
-    if name not in verdicts:
-        verdicts[name] = _CHECKERS[name](group).holds
-    return verdicts[name]
+    return _report(group, name).holds
 
 
 def require_statements(group: FiniteGroup, names: tuple[str, ...]) -> None:

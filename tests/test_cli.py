@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -245,3 +246,59 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
     code, out, _ = run_cli(capsys, "props", "check", "--group", spec)
     assert code == 2
     assert message in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("norm", "eval", "--element", '{"shift":0,"support":{"0":999}}'),
+        ("norm", "eval", "--element", "[1]"),
+        ("decompose", "--element", "[]", "--kind", "2"),
+        ("norm", "eval", "--element", '{"mode":"truncated"}'),
+        ("norm", "eval", "--element", '{"shift":[1]}'),
+        ("norm", "eval", "--element", '{"mode":{"truncated":true}}'),
+        ("almost-hom", "verify", "--k", "[5]", "--q", "0,1"),
+        ("almost-hom", "verify", "--k", "{}", "--q", "0,1"),
+        ("almost-hom", "verify", "--k", '[{"mode":{"truncated":2}}]', "--q", "0,1"),
+        ("axioms", "validate", "--group", "S3", "--table", "/nonexistent.json",
+         "--thresholds", "0,1"),
+    ],
+    ids=[
+        "support-value-int",
+        "element-list",
+        "decompose-element-empty-list",
+        "mode-string",
+        "shift-list",
+        "window-bool",
+        "k-entry-int",
+        "k-object",
+        "k-truncated",
+        "table-missing-file",
+    ],
+)
+def test_malformed_element_and_input_is_structured_error(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 2
+    assert set(json.loads(out)) == {"error"}
+
+
+# sha256 of `props check` stdout as recorded when S1 and S2 still scanned every
+# element as a1; the witnesses are part of the CLI contract and must not move.
+PROPS_CHECK_SHA256 = {
+    "S3": "2aa9c447bc83f8e108d841c04c0be8b019b4e828f390bd91e89fe1b45b19db12",
+    "A4": "114a3e1a06ffd3b8b2c4dd6c6ca7b4f0da63e45b43e33636bd42fe287519d87e",
+    "S4": "abcbb40c7f4fa21cc879afbced81555f0b531f470e6818b59f637bcfb2cbb21e",
+    "A5": "e07ce09ddaad568223ee3e8a2a07a9249bedb7053f5ef3ddf937e3f1d548f160",
+    '{"degree": 4, "generators": [[1, 2, 3, 0], [3, 2, 1, 0]]}':
+        "f59c28d55333391d2ff0e50c8ad52e9a01e2b227147689441fdf369b96fe687d",
+    '{"degree": 5, "generators": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]]}':
+        "2f4c09b37260a99d8e6831f6e4919b86e290d83bc2cad61902b4ddd491e1aae3",
+}
+
+
+@pytest.mark.parametrize("group", sorted(PROPS_CHECK_SHA256))
+def test_props_check_stdout_pinned(capsys, monkeypatch, group):
+    monkeypatch.delenv("WREATHNORM_STATE_CAP", raising=False)
+    monkeypatch.delenv("WREATHNORM_GEN_CAP", raising=False)
+    _, out, _ = run_cli(capsys, "props", "check", "--group", group)
+    assert hashlib.sha256(out.encode()).hexdigest() == PROPS_CHECK_SHA256[group]

@@ -1,14 +1,23 @@
 import gc
 import random
 import weakref
+from collections import Counter
 
 import pytest
 
-from wreathnorm.groups import builtin_group, conjugacy_classes, perm_from_cycles
+from wreathnorm import props
+from wreathnorm.groups import (
+    builtin_group,
+    conjugacy_classes,
+    parse_group_spec,
+    perm_from_cycles,
+)
 from wreathnorm.props import (
+    PropReport,
     SolverError,
     check_all,
     check_S1,
+    check_S2,
     check_S3,
     check_S4,
     require_statements,
@@ -16,9 +25,118 @@ from wreathnorm.props import (
     solve_S1_instance,
     solve_S2_instance,
     solve_S3_instance,
+    statement_holds,
     xi,
     xi_naive,
 )
+
+STATEMENTS = ("S1", "S2", "S3", "S4")
+INLINE_GROUPS = (
+    '{"degree": 4, "generators": [[1, 2, 3, 0], [3, 2, 1, 0]]}',
+    '{"degree": 5, "generators": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]]}',
+)
+
+
+def _s1_reachable_reference(group, a1):
+    ia1 = group.inv(a1)
+    return {
+        group.mul_many((group.inv(x), ia1, y, x, group.inv(y)))
+        for x in range(len(group))
+        for y in range(len(group))
+    }
+
+
+def _check_S1_reference(group):
+    """S1 scanned over every a1 in element order (the element-level loop)."""
+    full = set(range(len(group)))
+    for a1 in range(len(group)):
+        reachable = _s1_reachable_reference(group, a1)
+        if reachable != full:
+            return PropReport("S1", False, (a1, min(full - reachable)))
+    return PropReport("S1", True, None)
+
+
+def _s2_reachable_reference(group, a1, a3):
+    table = group.conj_classes
+    ia1, ia3 = group.inv(a1), group.inv(a3)
+    reachable = set()
+    for u in range(len(group)):
+        w = group.mul_many((a3, u, ia1, ia3))
+        cls = table.classes[table.class_of[group.inv(u)]]
+        reachable.update(group.mul(w, c) for c in cls)
+    return reachable
+
+
+def _check_S2_reference(group):
+    """S2 scanned over every (a1, a3) in element order (the element-level loop)."""
+    n = len(group)
+    full = set(range(n))
+    for a1 in range(n):
+        for a3 in range(n):
+            reachable = _s2_reachable_reference(group, a1, a3)
+            if reachable != full:
+                return PropReport("S2", False, (a1, min(full - reachable), a3))
+    return PropReport("S2", True, None)
+
+
+@pytest.mark.parametrize("spec", ["S3", "A4", "S4", "A5", "Z2", "Z3", *INLINE_GROUPS])
+def test_class_minimum_scans_match_element_scans(spec):
+    group = parse_group_spec(spec)
+    assert check_S1(group) == _check_S1_reference(group)
+    assert check_S2(group) == _check_S2_reference(group)
+
+
+def test_s1_s2_reachable_sets_are_conjugation_equivariant(s4):
+    # the lemma behind the class-minimum scans: conjugating a1 (and a3 with
+    # it) by g conjugates the reachable set by g
+    rng = random.Random(6)
+    for _ in range(20):
+        a1, a3, g = (rng.randrange(len(s4)) for _ in range(3))
+        conj = lambda items: {s4.conj(i, g) for i in items}
+        assert _s1_reachable_reference(s4, s4.conj(a1, g)) == conj(
+            _s1_reachable_reference(s4, a1)
+        )
+        assert _s2_reachable_reference(
+            s4, s4.conj(a1, g), s4.conj(a3, g)
+        ) == conj(_s2_reachable_reference(s4, a1, a3))
+
+
+def test_each_statement_computed_once_per_group(monkeypatch):
+    calls = Counter()
+    for name in STATEMENTS:
+        checker = getattr(props, f"check_{name}")
+
+        def counted(group, name=name, checker=checker):
+            calls[name] += 1
+            return checker(group)
+
+        monkeypatch.setattr(props, f"check_{name}", counted)
+        monkeypatch.setitem(props._CHECKERS, name, counted)
+    for spec in ("A5", "S3"):
+        group = builtin_group(spec)
+        calls.clear()
+        reports = check_all(group)
+        assert check_all(group) == reports
+        assert satisfies_s_conditions(group) == all(
+            r.holds for r in reports.values()
+        )
+        for name in STATEMENTS:
+            assert statement_holds(group, name) == reports[name].holds
+            if not reports[name].holds:
+                with pytest.raises(ValueError):
+                    require_statements(group, (name,))
+            else:
+                require_statements(group, (name,))
+        assert calls == Counter({name: 1 for name in STATEMENTS})
+
+
+def test_xi_reads_the_group_class_table(a5):
+    table = conjugacy_classes(a5)
+    assert table is a5.conj_classes
+    u1, u2 = 1, 8
+    xi(a5, u1, u2, 0)
+    key = (table.class_of[a5.inv(u2)], table.class_of[a5.inv(u1)])
+    assert key in table.products
 
 
 def test_all_statements_hold_on_a5(a5):
