@@ -425,27 +425,31 @@ def _normal_subgroups_for(name: str, base: FiniteGroup) -> list[frozenset[int]]:
 
 
 def random_pseudo_norm(rng: random.Random, base: FiniteGroup) -> nm.NormTable:
-    """Shortest-path pseudo-norm from random symmetric rational edge costs."""
+    """Shortest-path pseudo-norm from random symmetric rational edge costs.
+
+    A cost a/b has b <= 8, so the search runs on integer multiples of
+    1/840 = 1/lcm(1, ..., 8).
+    """
     n = len(base)
-    cost: dict[int, Fraction] = {}
+    cost: dict[int, int] = {}
     for g in range(n):
         if g == base.identity_index or g in cost:
             continue
-        value = Fraction(rng.randint(1, 24), rng.randint(1, 8))
-        cost[g] = value
-        cost[base.inv(g)] = value
-    dist: list[Fraction | None] = [None] * n
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), base.identity_index)]
+        a, b = rng.randint(1, 24), rng.randint(1, 8)
+        cost[g] = cost[base.inv(g)] = a * (840 // b)
+    dist: list[int | None] = [None] * n
+    heap: list[tuple[int, int]] = [(0, base.identity_index)]
     while heap:
         d, x = heappop(heap)
         if dist[x] is not None:
             continue
         dist[x] = d
+        row = base._mul_table[x]
         for s, c in cost.items():
-            y = base.mul(x, s)
+            y = row[s]
             if dist[y] is None:
                 heappush(heap, (d + c, y))
-    return nm.NormTable(base, [d if d is not None else Fraction(0) for d in dist])
+    return nm.NormTable(base, [Fraction(d or 0, 840) for d in dist])
 
 
 def criterion_7(random_tables: int = 1000, seed: int = 313) -> CriterionResult:

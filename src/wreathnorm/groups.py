@@ -236,10 +236,10 @@ def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
     return group.conj_classes
 
 
-def class_product(
-    group: FiniteGroup, table: ConjClassTable, c1: int, c2: int
-) -> frozenset[int]:
-    """All products a*b with a in class c1 and b in class c2 (memoized)."""
+def class_product(group: FiniteGroup, c1: int, c2: int) -> frozenset[int]:
+    """All products a*b with a in class c1 and b in class c2 (memoized on
+    ``group.conj_classes``)."""
+    table = group.conj_classes
     product = table.products.get((c1, c2))
     if product is not None:
         return product

@@ -21,8 +21,8 @@ definition; tests check the two against each other by exhaustive search.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .groups import FiniteGroup
 
@@ -54,13 +54,16 @@ class LampElem:
         if window is not None and window < 1:
             raise ValueError("truncated mode needs n >= 1")
         items = support.items() if isinstance(support, Mapping) else support
+        size, ident = len(base.elements), base.identity_index
         cleaned: dict[int, int] = {}
         for idx, val in items:
+            if not 0 <= val < size:
+                raise ValueError(f"support value {val} is outside [0, {size})")
             if window is not None:
                 idx = _reduce(idx, window)
             if idx in cleaned:
                 raise ValueError(f"duplicate support index {idx}")
-            if val != base.identity_index:
+            if val != ident:
                 cleaned[idx] = val
         if window is not None:
             shift = _reduce(shift, window)

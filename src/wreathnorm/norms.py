@@ -121,22 +121,37 @@ class NormTable:
         return cls(group, values)
 
 
+def scale_to_integers(values: Sequence[Value]) -> list[int]:
+    """The values times the lcm of their denominators: exact integers that
+    order, add and compare for equality exactly as the values do."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
 def validate_pseudo_norm(t: NormTable) -> ValidationReport:
-    """Exhaustively check axioms N1, N2, N3; violations carry witnesses."""
+    """Exhaustively check axioms N1, N2, N3; violations carry witnesses.
+
+    The comparisons run on ``scale_to_integers`` of the values; the witnesses
+    carry the table's own values.
+    """
     g = t.group
+    values = t.values
+    scaled = scale_to_integers(values)
+    inv = g._inv_table
     violations: list[Violation] = []
     e = g.identity_index
-    if t[e] != 0:
-        violations.append(Violation("N1", (e,), (t[e],)))
-    for i in range(len(g)):
-        j = g.inv(i)
-        if t[i] != t[j]:
-            violations.append(Violation("N2", (i, j), (t[i], t[j])))
-    for i in range(len(g)):
-        for j in range(len(g)):
-            k = g.mul(i, j)
-            if t[k] > t[i] + t[j]:
-                violations.append(Violation("N3", (i, j, k), (t[i], t[j], t[k])))
+    if scaled[e] != 0:
+        violations.append(Violation("N1", (e,), (values[e],)))
+    for i, j in enumerate(inv):
+        if scaled[i] != scaled[j]:
+            violations.append(Violation("N2", (i, j), (values[i], values[j])))
+    for i, row in enumerate(g._mul_table):
+        si = scaled[i]
+        for j, k in enumerate(row):
+            if scaled[k] > si + scaled[j]:
+                violations.append(
+                    Violation("N3", (i, j, k), (values[i], values[j], values[k]))
+                )
     return ValidationReport(not violations, violations)
 
 
@@ -151,13 +166,19 @@ def validate_norm(t: NormTable) -> ValidationReport:
 
 
 def validate_invariance(t: NormTable) -> ValidationReport:
+    """Exhaustively check INV, comparing ``scale_to_integers`` of the values."""
     g = t.group
-    violations = [
-        Violation("INV", (i, x, g.conj(i, x)), (t[i], t[g.conj(i, x)]))
-        for i in range(len(g))
-        for x in range(len(g))
-        if t[g.conj(i, x)] != t[i]
-    ]
+    values = t.values
+    scaled = scale_to_integers(values)
+    mul, inv = g._mul_table, g._inv_table
+    n = len(g)
+    violations = []
+    for i in range(n):
+        si = scaled[i]
+        for x in range(n):
+            c = mul[mul[inv[x]][i]][x]  # g.conj(i, x)
+            if scaled[c] != si:
+                violations.append(Violation("INV", (i, x, c), (values[i], values[c])))
     return ValidationReport(not violations, violations)
 
 

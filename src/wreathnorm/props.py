@@ -56,7 +56,7 @@ def xi(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
     table = group.conj_classes
     c2 = table.class_of[group.inv(u2)]
     c1 = table.class_of[group.inv(u1)]
-    return u3 in class_product(group, table, c2, c1)
+    return u3 in class_product(group, c2, c1)
 
 
 def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
@@ -121,7 +121,7 @@ def check_S3(group: FiniteGroup, raw: bool = False) -> PropReport:
     full = frozenset(range(len(group))) - {ident}
     for c1 in nontrivial:
         for c2 in nontrivial:
-            pair = class_product(group, table, c1, c2)
+            pair = class_product(group, c1, c2)
             for c3 in nontrivial:
                 covered = set()
                 for w in pair:
@@ -166,7 +166,7 @@ def check_S4(group: FiniteGroup) -> PropReport:
     for u1 in nontrivial:
         for u2 in nontrivial:
             c2, c1 = table.class_of[group.inv(u2)], table.class_of[group.inv(u1)]
-            prod = class_product(group, table, c2, c1)
+            prod = class_product(group, c2, c1)
             missing = [
                 u3 for u3 in range(len(group)) if u3 != ident and u3 not in prod
             ]

@@ -15,15 +15,24 @@ finite threshold fragment:
 
 Triangle instances with q + q' outside the threshold set are not expressible
 in the fragment; they are skipped and accounted for in the report.
+
+The kernels do no ``Fraction`` arithmetic inside their loops: ``from_norm``
+places each value with one bisection, and ``check_axioms`` reads symbols
+through boolean rows built once and finds q + q' among the thresholds scaled
+to integers by the lcm of their denominators.  The reports are byte for byte
+those of the direct element-by-threshold evaluation, which the tests keep as
+a reference.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .norms import NormTable
+from .groups import FiniteGroup
+from .norms import NormTable, scale_to_integers
 
 Symbol = str  # one of "<", "=", ">"
 
@@ -32,7 +41,7 @@ THEORIES = ("T_W", "T_IPMG", "T_IMG")
 
 @dataclass(frozen=True)
 class WeightFn:
-    group: object  # anything with mul/inv/conj/identity_index/__len__
+    group: FiniteGroup
     thresholds: tuple[Fraction, ...]  # sorted, distinct
     rows: tuple[tuple[Symbol, ...], ...]  # rows[element][threshold index]
 
@@ -46,32 +55,53 @@ class WeightFn:
         }
 
     @staticmethod
-    def from_json(group: object, doc: Mapping) -> "WeightFn":
+    def from_json(group: FiniteGroup, doc: Mapping) -> "WeightFn":
+        """Parse :meth:`to_json` output; ValueError if any row is missing, has
+        the wrong length or a symbol outside <, =, >, or if the thresholds are
+        not strictly increasing or lack 0."""
         thresholds = tuple(Fraction(q) for q in doc["thresholds"])
-        n = len(group)  # type: ignore[arg-type]
-        rows: list[tuple[Symbol, ...]] = [()] * n
+        if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
+            raise ValueError("thresholds must be strictly increasing")
+        if 0 not in thresholds:
+            raise ValueError("threshold set must contain 0")
+        n = len(group)
+        rows: list[tuple[Symbol, ...] | None] = [None] * n
         for key, row in doc["rows"].items():
-            rows[int(key)] = tuple(row)
+            g = int(key)
+            if not 0 <= g < n or rows[g] is not None:
+                raise ValueError(f"row key {key!r} is not a new element id in [0, {n})")
+            if not isinstance(row, (list, tuple)) or len(row) != len(thresholds):
+                raise ValueError(f"row {key} needs one symbol per threshold")
+            if not set(row) <= {"<", "=", ">"}:
+                raise ValueError(f"row {key} has a symbol other than <, =, >")
+            rows[g] = tuple(row)
+        missing = [g for g, row in enumerate(rows) if row is None]
+        if missing:
+            raise ValueError(f"rows missing for elements {missing}")
         return WeightFn(group, thresholds, tuple(rows))
 
 
-def _sign(value, q) -> Symbol:
-    if value < q:
-        return "<"
-    if value == q:
-        return "="
-    return ">"
-
-
 def from_norm(table: NormTable, thresholds: Sequence[Fraction | int]) -> WeightFn:
-    """Comparison table of a norm against a finite threshold set (0 required)."""
-    qs = tuple(sorted({Fraction(q) for q in thresholds}))
-    if Fraction(0) not in qs:
+    """Comparison table of a norm against a finite threshold set (0 required).
+
+    Thresholds and values are scaled to integers together; each row is ">"
+    at the thresholds below the value, "=" at the value if it is a threshold,
+    and "<" above, placed by one bisection per element.
+    """
+    given = [Fraction(q) for q in thresholds]
+    scaled = scale_to_integers(given + list(table.values))
+    by_scaled = dict(zip(scaled, given))  # distinct thresholds by scaled value
+    if 0 not in by_scaled:
         raise ValueError("threshold set must contain 0")
-    rows = tuple(
-        tuple(_sign(v, q) for q in qs) for v in table.values
-    )
-    return WeightFn(table.group, qs, rows)
+    keys = sorted(by_scaled)
+    k = len(keys)
+    rows = []
+    for v in scaled[len(given):]:
+        i = bisect_left(keys, v)
+        at = i < k and keys[i] == v
+        rows.append(tuple(">" * i + "=" * at + "<" * (k - i - at)))
+    qs = tuple(by_scaled[key] for key in keys)
+    return WeightFn(table.group, qs, tuple(rows))
 
 
 def w_of(f: WeightFn) -> list[Fraction | None]:
@@ -115,86 +145,86 @@ def check_axioms(f: WeightFn, theory: str) -> AxiomReport:
     if theory not in THEORIES:
         raise ValueError(f"theory must be one of {THEORIES}")
     group = f.group
-    n = len(group)  # type: ignore[arg-type]
+    n = len(group)
+    rows = f.rows
     qs = f.thresholds
+    k = len(qs)
+    fmt = [_fmt_q(q) for q in qs]
+    le = [[s in ("<", "=") for s in row] for row in rows]  # value <= q
+    ge = [[s in (">", "=") for s in row] for row in rows]  # value >= q
     report = AxiomReport(theory, True)
     violations = report.violations
 
-    # T_W (1)/(2): threshold monotonicity
-    checked = 0
+    # T_W (1)/(2): threshold monotonicity; only a row whose le row does not
+    # ascend or whose ge row does not descend has violating pairs
     for g in range(n):
-        row = f.rows[g]
-        for a in range(len(qs)):
-            for b in range(a + 1, len(qs)):
-                checked += 1
-                if row[a] in ("<", "=") and row[b] not in ("<", "="):
-                    violations.append(
-                        {"axiom": "W1", "g": g, "q": _fmt_q(qs[a]), "q2": _fmt_q(qs[b])}
-                    )
-                if row[b] in (">", "=") and row[a] not in (">", "="):
-                    violations.append(
-                        {"axiom": "W2", "g": g, "q": _fmt_q(qs[a]), "q2": _fmt_q(qs[b])}
-                    )
-    report.evaluated["monotonicity_instances"] = checked
+        le_g, ge_g = le[g], ge[g]
+        if le_g == sorted(le_g) and ge_g == sorted(ge_g, reverse=True):
+            continue
+        for a in range(k):
+            for b in range(a + 1, k):
+                if le_g[a] and not le_g[b]:
+                    violations.append({"axiom": "W1", "g": g, "q": fmt[a], "q2": fmt[b]})
+                if ge_g[b] and not ge_g[a]:
+                    violations.append({"axiom": "W2", "g": g, "q": fmt[a], "q2": fmt[b]})
+    report.evaluated["monotonicity_instances"] = n * (k * (k - 1) // 2)
 
     # T_W (3): the zero row
-    zero_idx = qs.index(Fraction(0))
-    ident = group.identity_index  # type: ignore[attr-defined]
-    if f.rows[ident][zero_idx] != "=":
+    scaled = tuple(scale_to_integers(qs))
+    zero_idx = scaled.index(0)
+    ident = group.identity_index
+    if rows[ident][zero_idx] != "=":
         violations.append({"axiom": "W3", "g": ident})
     for g in range(n):
-        if f.rows[g][zero_idx] == "<":
+        if rows[g][zero_idx] == "<":
             violations.append({"axiom": "W3", "g": g})
 
-    # T_W (4): inverse symmetry
+    # T_W (4): inverse symmetry, on interned row ids
+    row_ids: dict = {}
+    ids = [row_ids.setdefault(row, len(row_ids)) for row in rows]
+    inv = group._inv_table
     for g in range(n):
-        gi = group.inv(g)  # type: ignore[attr-defined]
-        if f.rows[g] != f.rows[gi]:
+        gi = inv[g]
+        if ids[g] != ids[gi]:
             violations.append({"axiom": "W4", "g": g, "g_inv": gi})
     report.evaluated["inverse_instances"] = n
 
     if theory in ("T_IPMG", "T_IMG"):
-        q_index = {q: i for i, q in enumerate(qs)}
+        # q + q' is looked up among the integer-scaled thresholds
+        q_index = {q: i for i, q in enumerate(scaled)}
+        columns = list(zip(*le))  # columns[qi][g] == le[g][qi]
+        members = [[g for g in range(n) if col[g]] for col in columns]
+        mul = group._mul_table
         tri_checked = 0
-        for a, qa in enumerate(qs):
-            for b, qb in enumerate(qs):
-                total = qa + qb
-                if total not in q_index:
-                    report.skipped_triangle_pairs.append((_fmt_q(qa), _fmt_q(qb)))
+        skipped = report.skipped_triangle_pairs
+        for a, sa in enumerate(scaled):
+            below_a = members[a]
+            for b, sb in enumerate(scaled):
+                ti = q_index.get(sa + sb)
+                if ti is None:
+                    skipped.append((fmt[a], fmt[b]))
                     continue
-                ti = q_index[total]
-                for g in range(n):
-                    if f.rows[g][a] not in ("<", "="):
-                        continue
-                    for h in range(n):
-                        if f.rows[h][b] not in ("<", "="):
-                            continue
-                        tri_checked += 1
-                        gh = group.mul(g, h)  # type: ignore[attr-defined]
-                        if f.rows[gh][ti] not in ("<", "="):
+                below_b, target = members[b], columns[ti]
+                tri_checked += len(below_a) * len(below_b)
+                for g in below_a:
+                    row = mul[g]
+                    for h in below_b:
+                        if not target[row[h]]:
                             violations.append(
-                                {
-                                    "axiom": "TRI",
-                                    "g": g,
-                                    "h": h,
-                                    "q": _fmt_q(qa),
-                                    "q2": _fmt_q(qb),
-                                }
+                                {"axiom": "TRI", "g": g, "h": h, "q": fmt[a], "q2": fmt[b]}
                             )
         report.evaluated["triangle_instances"] = tri_checked
 
-        inv_checked = 0
         for g in range(n):
+            id_g = ids[g]
             for y in range(n):
-                conj = group.conj(g, y)  # type: ignore[attr-defined]
-                inv_checked += 1
-                if f.rows[conj] != f.rows[g]:
+                if ids[mul[mul[inv[y]][g]][y]] != id_g:  # group.conj(g, y)
                     violations.append({"axiom": "INV", "g": g, "y": y})
-        report.evaluated["invariance_instances"] = inv_checked
+        report.evaluated["invariance_instances"] = n * n
 
     if theory == "T_IMG":
         for g in range(n):
-            if g != ident and f.rows[g][zero_idx] in ("<", "="):
+            if g != ident and le[g][zero_idx]:
                 violations.append({"axiom": "NORM", "g": g})
 
     report.ok = not violations

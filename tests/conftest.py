@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
+from wreathnorm.acceptance import random_pseudo_norm
 from wreathnorm.groups import builtin_group
-from wreathnorm.norms import conjugacy_closure, word_norm_bfs
+from wreathnorm.norms import conjugacy_closure, integer_round, word_norm_bfs
 
 
 @pytest.fixture(scope="session")
@@ -39,3 +42,14 @@ def s3_word_table(s3):
 def a5_word_table(a5):
     gens = conjugacy_closure(a5, [a5.index[g] for g in a5.generators])
     return word_norm_bfs(a5, gens)
+
+
+@pytest.fixture(scope="session")
+def c8_tables(s3):
+    """C8's 2,000 seeded S3 tables: each random pseudo-norm, then its rounding."""
+    rng = random.Random(313)
+    tables = []
+    for _ in range(1000):
+        raw = random_pseudo_norm(rng, s3)
+        tables += [raw, integer_round(raw)]
+    return tables

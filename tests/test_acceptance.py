@@ -5,7 +5,10 @@ or equivalently ``wreathnorm selftest --scale full``.
 """
 
 import json
+import random
+from fractions import Fraction
 from functools import cache
+from heapq import heappop, heappush
 
 import pytest
 
@@ -46,3 +49,37 @@ def test_xi_variant_resolution_recorded():
     from wreathnorm.gznorm import RESOLVED_XI_VARIANT
 
     assert RESOLVED_XI_VARIANT == "direct"
+
+
+def _reference_random_pseudo_norm(rng, base):
+    """``random_pseudo_norm`` with Fraction costs and Fraction path sums."""
+    cost = {}
+    for g in range(len(base)):
+        if g == base.identity_index or g in cost:
+            continue
+        value = Fraction(rng.randint(1, 24), rng.randint(1, 8))
+        cost[g] = value
+        cost[base.inv(g)] = value
+    dist = [None] * len(base)
+    heap = [(Fraction(0), base.identity_index)]
+    while heap:
+        d, x = heappop(heap)
+        if dist[x] is not None:
+            continue
+        dist[x] = d
+        for s, c in cost.items():
+            y = base.mul(x, s)
+            if dist[y] is None:
+                heappush(heap, (d + c, y))
+    return [d if d is not None else Fraction(0) for d in dist]
+
+
+@pytest.mark.parametrize("name", ["S3", "A4"])
+def test_random_pseudo_norm_matches_fraction_search(name):
+    base = acceptance.group(name)
+    fast, slow = random.Random(313), random.Random(313)
+    for _ in range(300):
+        values = acceptance.random_pseudo_norm(fast, base).values
+        assert values == tuple(_reference_random_pseudo_norm(slow, base))
+        assert all(type(v) is Fraction for v in values)
+    assert fast.random() == slow.random()

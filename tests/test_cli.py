@@ -302,3 +302,66 @@ def test_props_check_stdout_pinned(capsys, monkeypatch, group):
     monkeypatch.delenv("WREATHNORM_GEN_CAP", raising=False)
     _, out, _ = run_cli(capsys, "props", "check", "--group", group)
     assert hashlib.sha256(out.encode()).hexdigest() == PROPS_CHECK_SHA256[group]
+
+
+# sha256 of `norm table` and `axioms validate` stdout as recorded before the
+# weight-function and validator kernels moved to integer-scaled thresholds.
+NORM_TABLE_SHA256 = {
+    ("S3",): "2c021f30f58e5a3b0af28a3539aa9ed7dd23bc6f230aa90e5eb9c85c7e423eb8",
+    ("S3", "--gens", "[[1, 0, 2]]"):
+        "41422121251cc41378dab1f554d8a9417cd7f7ecdabc4670cf2f0744db676140",
+    ("A4",): "06a563496a27b26d3555b6338cf311984be872fb9ad83f539fa9a87ed83fb9d9",
+    ("A5",): "e50d4469385f9d8f24be8a6fedf0b439e6dddfbd397dd7dd70a0a06f25abde00",
+    ("S3", "--format", "csv"):
+        "ac62d4124ada6cd3c21be2060ebf7afd20644ba9e141533fde8ca59fcaae69f2",
+}
+
+
+@pytest.mark.parametrize("args", sorted(NORM_TABLE_SHA256))
+def test_norm_table_stdout_pinned(capsys, monkeypatch, args):
+    monkeypatch.delenv("WREATHNORM_STATE_CAP", raising=False)
+    monkeypatch.delenv("WREATHNORM_GEN_CAP", raising=False)
+    _, out, _ = run_cli(capsys, "norm", "table", "--group", *args)
+    assert hashlib.sha256(out.encode()).hexdigest() == NORM_TABLE_SHA256[args]
+
+
+# A non-invariant S3 table whose 3-cycles break the triangle: 1 + 1 < 3.
+VIOLATING_S3_TABLE = json.dumps(
+    [{"element": i, "value": v} for i, v in enumerate(["0", "1", "3", "2", "2", "3"])]
+)
+AXIOMS_VALIDATE_SHA256 = {
+    ("S3 transpositions", "0,1/2,1,3/2,2,3,4", "T_IPMG"):
+        "77a0d9a66a7ccb497a20220e12f79b34292676ad53e834f3600d0cf27eb5cc5a",
+    ("A4", "0,1,2,3,4", "T_IPMG"):
+        "d3ddad5a11bff2bb67d0fc0514b9d515f18fca99817af7caef81a9f51651bf65",
+    ("A5", "0,1/2,1,2,5/2,3,4", "T_IPMG"):
+        "e1ab1efda576f56dc6733b872b216b1de7ff4a90353a6af026b51aa1e5a158a4",
+    ("A5", "0,1,2", "T_IMG"):
+        "8b223081bb95111148e14b58d4b33018b0570eca60cce59c9830aeefb95a6104",
+    ("S3 violating", "0,1/2,1,3/2,2,3,4,5,6", "T_W"):
+        "b001c863494e339bf25d2085e7313f0fdbf8c9b69946dcbe321b6854a45dcbe8",
+    ("S3 violating", "0,1/2,1,3/2,2,3,4,5,6", "T_IPMG"):
+        "b13e6a98da540879228396840078f9b7ff038e63a7e8cccd02e57736f13d15d3",
+    ("S3 violating", "0,1/2,1,3/2,2,3,4,5,6", "T_IMG"):
+        "6e6a9ee91ba61763fd2dbf574fb66465363bd10dcd5c40e6ef94b4c8404856e6",
+}
+
+
+@pytest.mark.parametrize("table, thresholds, theory", sorted(AXIOMS_VALIDATE_SHA256))
+def test_axioms_validate_stdout_pinned(capsys, monkeypatch, table, thresholds, theory):
+    monkeypatch.delenv("WREATHNORM_STATE_CAP", raising=False)
+    monkeypatch.delenv("WREATHNORM_GEN_CAP", raising=False)
+    group = table.split()[0]
+    if table == "S3 violating":
+        doc = VIOLATING_S3_TABLE
+    else:
+        gens = ["--gens", "[[1, 0, 2]]"] if table == "S3 transpositions" else []
+        _, out, _ = run_cli(capsys, "norm", "table", "--group", group, *gens)
+        doc = json.dumps(json.loads(out)["result"]["table"])
+    code, out, _ = run_cli(
+        capsys, "axioms", "validate", "--group", group, "--table", doc,
+        "--thresholds", thresholds, "--theory", theory,
+    )
+    assert code == (1 if table == "S3 violating" and theory != "T_W" else 0)
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == AXIOMS_VALIDATE_SHA256[(table, thresholds, theory)]

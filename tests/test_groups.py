@@ -104,14 +104,14 @@ def test_class_product_identity_class(s3):
     table = conjugacy_classes(s3)
     ident_cls = table.class_of[s3.identity_index]
     for cid in range(len(table.classes)):
-        assert class_product(s3, table, ident_cls, cid) == table.classes[cid]
+        assert class_product(s3, ident_cls, cid) == table.classes[cid]
 
 
 def test_class_product_s3_transpositions(s3):
     table = conjugacy_classes(s3)
     transpositions = next(c for c in table.classes if len(c) == 3)
     cid = table.class_of[min(transpositions)]
-    product = class_product(s3, table, cid, cid)
+    product = class_product(s3, cid, cid)
     three_cycles = next(c for c in table.classes if len(c) == 2)
     assert product == three_cycles | {s3.identity_index}
 
@@ -122,7 +122,7 @@ def test_class_product_a5_five_cycles_two_ways(a5):
         cid for cid, c in enumerate(table.classes) if len(c) == 12
     ]
     c1, c2 = five_cycle_classes
-    fast = class_product(a5, table, c1, c2)
+    fast = class_product(a5, c1, c2)
     # pairwise enumeration oracle
     slow = {
         a5.mul(a, b) for a in table.classes[c1] for b in table.classes[c2]

@@ -39,6 +39,15 @@ def test_truncated_rejects_collisions(s3):
         LampElem.make(s3, {0: 3, 3: 4}, 0, window=1)
 
 
+@pytest.mark.parametrize("value", [999, 60, -1])
+@pytest.mark.parametrize("support", [dict, list])
+def test_make_rejects_values_outside_the_base(a5, value, support):
+    items = support({0: 7, 2: value}.items())
+    with pytest.raises(ValueError, match="outside"):
+        LampElem.make(a5, items)
+    assert LampElem.make(a5, support({0: 7, 2: 59}.items())).support == ((0, 7), (2, 59))
+
+
 def test_mul_identity_and_inverse(a5):
     rng = random.Random(0)
     ident = LampElem.identity(a5)

@@ -12,6 +12,8 @@ from wreathnorm.groups import (
 )
 from wreathnorm.norms import (
     NormTable,
+    ValidationReport,
+    Violation,
     ball,
     conjugacy_closure,
     integer_round,
@@ -281,3 +283,88 @@ def test_restrict_chain(a5, a5_word_table):
     once, embed = restrict_norm(a5_word_table, cyclic)
     twice, embed2 = restrict_norm(once, range(len(once.group)))
     assert twice.values == once.values
+
+
+# -- differential tests against the direct Fraction validators ------------------
+
+
+def reference_validate_pseudo_norm(t):
+    """``validate_pseudo_norm`` comparing the Fraction values themselves."""
+    g = t.group
+    violations = []
+    e = g.identity_index
+    if t[e] != 0:
+        violations.append(Violation("N1", (e,), (t[e],)))
+    for i in range(len(g)):
+        j = g.inv(i)
+        if t[i] != t[j]:
+            violations.append(Violation("N2", (i, j), (t[i], t[j])))
+    for i in range(len(g)):
+        for j in range(len(g)):
+            k = g.mul(i, j)
+            if t[k] > t[i] + t[j]:
+                violations.append(Violation("N3", (i, j, k), (t[i], t[j], t[k])))
+    return ValidationReport(not violations, violations)
+
+
+def reference_validate_invariance(t):
+    """``validate_invariance`` through ``FiniteGroup.conj`` and Fraction values."""
+    g = t.group
+    violations = [
+        Violation("INV", (i, x, g.conj(i, x)), (t[i], t[g.conj(i, x)]))
+        for i in range(len(g))
+        for x in range(len(g))
+        if t[g.conj(i, x)] != t[i]
+    ]
+    return ValidationReport(not violations, violations)
+
+
+def _assert_same_validation(table):
+    reports = []
+    for fast, slow in (
+        (validate_pseudo_norm, reference_validate_pseudo_norm),
+        (validate_invariance, reference_validate_invariance),
+    ):
+        report, expected = fast(table), slow(table)
+        assert report.to_json() == expected.to_json()
+        assert report.violations == expected.violations
+        reports.append(report)
+    return reports
+
+
+def test_validators_match_reference_on_c8_tables(c8_tables):
+    not_invariant = sum(not _assert_same_validation(t)[1].ok for t in c8_tables)
+    assert 0 < not_invariant < len(c8_tables)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "A5"])
+def test_validators_match_reference_on_word_norms(name):
+    base = builtin_group(name)
+    table = word_norm_bfs(
+        base, conjugacy_closure(base, [base.index[g] for g in base.generators])
+    )
+    for scale in (1, Fraction(1, 2), Fraction(2, 3)):
+        pseudo, inv = _assert_same_validation(
+            NormTable(base, [v * scale for v in table.values])
+        )
+        assert pseudo.ok and inv.ok
+
+
+def test_validators_match_reference_on_random_tables(s3, a4):
+    """Random values, ints mixed with fractions, a nonzero identity now and
+    then: every axiom gets violated somewhere."""
+    rng = random.Random(99)
+    seen = set()
+    for _ in range(500):
+        base = rng.choice((s3, s3, a4))
+        values = [
+            rng.randint(0, 6)
+            if rng.random() < 0.3
+            else Fraction(rng.randint(0, 12), rng.randint(1, 4))
+            for _ in range(len(base))
+        ]
+        if rng.random() < 0.8:
+            values[base.identity_index] = 0
+        for report in _assert_same_validation(NormTable(base, values)):
+            seen.update(v.axiom for v in report.violations)
+    assert seen == {"N1", "N2", "N3", "INV"}

@@ -3,14 +3,24 @@ from fractions import Fraction
 
 import pytest
 
-from wreathnorm.groups import normal_closure, perm_from_cycles
+from wreathnorm.acceptance import _agreement_thresholds
+from wreathnorm.groups import builtin_group, normal_closure, perm_from_cycles
 from wreathnorm.norms import (
     NormTable,
+    conjugacy_closure,
     quotient_norm,
     validate_invariance,
     validate_pseudo_norm,
+    word_norm_bfs,
 )
-from wreathnorm.weightfn import WeightFn, check_axioms, from_norm, w_of
+from wreathnorm.weightfn import (
+    THEORIES,
+    AxiomReport,
+    WeightFn,
+    check_axioms,
+    from_norm,
+    w_of,
+)
 import pytest as _pytest
 
 
@@ -130,9 +140,203 @@ def test_triangle_skip_accounting(s3_word_table):
     assert report.evaluated["triangle_instances"] > 0
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d["rows"].pop("4"), "missing"),
+        (lambda d: d["rows"]["2"].pop(), "one symbol per threshold"),
+        (lambda d: d["rows"]["1"].__setitem__(0, "<="), "symbol other than"),
+        (lambda d: d.__setitem__("thresholds", ["0/1", "2/1", "1/1"]), "increasing"),
+        (lambda d: d.__setitem__("thresholds", ["0/1", "1/1", "1/1"]), "increasing"),
+        (lambda d: d.__setitem__("thresholds", ["1/2", "1/1", "2/1"]), "contain 0"),
+        (lambda d: d["rows"].__setitem__("6", d["rows"]["5"]), "element id"),
+    ],
+    ids=["missing-row", "row-length", "symbol", "unsorted", "duplicate", "no-zero", "bad-key"],
+)
+def test_weightfn_from_json_rejects_malformed(s3, s3_word_table, edit, message):
+    doc = from_norm(s3_word_table, [0, 1, 2]).to_json()
+    edit(doc)
+    with pytest.raises(ValueError, match=message):
+        WeightFn.from_json(s3, doc)
+
+
 def test_weightfn_json_round_trip(s3, s3_word_table):
     f = from_norm(s3_word_table, [0, 1, 2])
     doc = f.to_json()
     again = WeightFn.from_json(s3, doc)
     assert again.thresholds == f.thresholds
     assert again.rows == f.rows
+
+
+# -- differential tests against the direct element-by-threshold kernels -------
+
+
+def _reference_sign(value, q):
+    if value < q:
+        return "<"
+    if value == q:
+        return "="
+    return ">"
+
+
+def reference_from_norm(table, thresholds):
+    """``from_norm`` as one Fraction comparison per (element, threshold)."""
+    qs = tuple(sorted({Fraction(q) for q in thresholds}))
+    if Fraction(0) not in qs:
+        raise ValueError("threshold set must contain 0")
+    rows = tuple(tuple(_reference_sign(v, q) for q in qs) for v in table.values)
+    return WeightFn(table.group, qs, rows)
+
+
+def _reference_fmt_q(q):
+    return f"{q.numerator}/{q.denominator}"
+
+
+def reference_check_axioms(f, theory):
+    """``check_axioms`` with Fraction sums and per-instance symbol reads."""
+    if theory not in THEORIES:
+        raise ValueError(f"theory must be one of {THEORIES}")
+    group = f.group
+    n = len(group)
+    qs = f.thresholds
+    report = AxiomReport(theory, True)
+    violations = report.violations
+    fmt = _reference_fmt_q
+
+    checked = 0
+    for g in range(n):
+        row = f.rows[g]
+        for a in range(len(qs)):
+            for b in range(a + 1, len(qs)):
+                checked += 1
+                if row[a] in ("<", "=") and row[b] not in ("<", "="):
+                    violations.append(
+                        {"axiom": "W1", "g": g, "q": fmt(qs[a]), "q2": fmt(qs[b])}
+                    )
+                if row[b] in (">", "=") and row[a] not in (">", "="):
+                    violations.append(
+                        {"axiom": "W2", "g": g, "q": fmt(qs[a]), "q2": fmt(qs[b])}
+                    )
+    report.evaluated["monotonicity_instances"] = checked
+
+    zero_idx = qs.index(Fraction(0))
+    ident = group.identity_index
+    if f.rows[ident][zero_idx] != "=":
+        violations.append({"axiom": "W3", "g": ident})
+    for g in range(n):
+        if f.rows[g][zero_idx] == "<":
+            violations.append({"axiom": "W3", "g": g})
+
+    for g in range(n):
+        gi = group.inv(g)
+        if f.rows[g] != f.rows[gi]:
+            violations.append({"axiom": "W4", "g": g, "g_inv": gi})
+    report.evaluated["inverse_instances"] = n
+
+    if theory in ("T_IPMG", "T_IMG"):
+        q_index = {q: i for i, q in enumerate(qs)}
+        tri_checked = 0
+        for a, qa in enumerate(qs):
+            for b, qb in enumerate(qs):
+                total = qa + qb
+                if total not in q_index:
+                    report.skipped_triangle_pairs.append((fmt(qa), fmt(qb)))
+                    continue
+                ti = q_index[total]
+                for g in range(n):
+                    if f.rows[g][a] not in ("<", "="):
+                        continue
+                    for h in range(n):
+                        if f.rows[h][b] not in ("<", "="):
+                            continue
+                        tri_checked += 1
+                        gh = group.mul(g, h)
+                        if f.rows[gh][ti] not in ("<", "="):
+                            violations.append(
+                                {"axiom": "TRI", "g": g, "h": h, "q": fmt(qa), "q2": fmt(qb)}
+                            )
+        report.evaluated["triangle_instances"] = tri_checked
+
+        inv_checked = 0
+        for g in range(n):
+            for y in range(n):
+                conj = group.conj(g, y)
+                inv_checked += 1
+                if f.rows[conj] != f.rows[g]:
+                    violations.append({"axiom": "INV", "g": g, "y": y})
+        report.evaluated["invariance_instances"] = inv_checked
+
+    if theory == "T_IMG":
+        for g in range(n):
+            if g != ident and f.rows[g][zero_idx] in ("<", "="):
+                violations.append({"axiom": "NORM", "g": g})
+
+    report.ok = not violations
+    return report
+
+
+def _assert_same_weightfn(table, thresholds, theories):
+    f = from_norm(table, thresholds)
+    assert f == reference_from_norm(table, thresholds)
+    reports = [check_axioms(f, theory) for theory in theories]
+    for theory, report in zip(theories, reports):
+        assert report.to_json() == reference_check_axioms(f, theory).to_json()
+    return reports
+
+
+def test_kernels_match_reference_on_c8_tables(c8_tables):
+    violating = 0
+    for table in c8_tables:
+        (report,) = _assert_same_weightfn(
+            table, _agreement_thresholds(table), ("T_IPMG",)
+        )
+        violating += not report.ok
+    # most of C8's tables are not conjugation-invariant, so the violation
+    # lists are compared too, not only empty ones
+    assert 0 < violating < len(c8_tables)
+
+
+HALF = Fraction(1, 2)
+WORD_THRESHOLDS = (
+    (0, 1, 2, 3, 4),
+    (0, HALF, 1, 3 * HALF, 2, 5 * HALF, 3),
+    (0, 1, 2),
+    (0, 2, 4),
+    (0, Fraction(1, 3), Fraction(2, 3), 1, Fraction(4, 3), 2),
+)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "A5"])
+def test_kernels_match_reference_on_word_norms(name):
+    base = builtin_group(name)
+    gens = conjugacy_closure(base, [base.index[g] for g in base.generators])
+    tables = [word_norm_bfs(base, gens)]
+    if name == "S3":
+        tr = base.index[perm_from_cycles(3, [(0, 1)])]
+        tables.append(word_norm_bfs(base, conjugacy_closure(base, [tr])))
+    for table in tables:
+        for thresholds in WORD_THRESHOLDS:
+            _assert_same_weightfn(table, thresholds, THEORIES)
+
+
+def test_kernels_match_reference_on_planted_flips(c8_tables, a4):
+    rng = random.Random(2024)
+    gens = conjugacy_closure(a4, [a4.index[g] for g in a4.generators])
+    sources = [
+        (table, _agreement_thresholds(table)) for table in c8_tables[:40]
+    ] + [(word_norm_bfs(a4, gens), WORD_THRESHOLDS[1])]
+    symbols = ("<", "=", ">")
+    violating = {theory: 0 for theory in THEORIES}
+    for _ in range(500):
+        table, thresholds = rng.choice(sources)
+        f = from_norm(table, thresholds)
+        rows = [list(row) for row in f.rows]
+        for _ in range(rng.randint(1, 3)):
+            g, qi = rng.randrange(len(rows)), rng.randrange(len(f.thresholds))
+            rows[g][qi] = rng.choice([s for s in symbols if s != rows[g][qi]])
+        flipped = WeightFn(f.group, f.thresholds, tuple(tuple(r) for r in rows))
+        for theory in THEORIES:
+            report = check_axioms(flipped, theory)
+            assert report.to_json() == reference_check_axioms(flipped, theory).to_json()
+            violating[theory] += not report.ok
+    assert all(count > 0 for count in violating.values())
