@@ -507,9 +507,13 @@ def criterion_7(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
 
 
 def _agreement_thresholds(table: nm.NormTable) -> list[Fraction]:
-    values = sorted({Fraction(v) for v in table.values})
-    sums = {a + b for a in values for b in values}
-    return sorted(set(values) | sums | {Fraction(0)})
+    """0, every value and every sum of two values, sorted.  The sums are
+    formed on ``scale_to_integers`` of the values and mapped back."""
+    values = {Fraction(v) for v in table.values}
+    # a leading 1 scales to the common scale itself
+    scale, *scaled = nm.scale_to_integers([Fraction(1), *values])
+    sums = {a + b for a in scaled for b in scaled}
+    return [Fraction(s, scale) for s in sorted(sums.union(scaled, [0]))]
 
 
 def criterion_8(random_tables: int = 1000, seed: int = 313) -> CriterionResult:

@@ -28,15 +28,19 @@ size >= 7 with a base satisfying S1-S4 run in "theory" mode, mirroring the
 window margins of the almost-homomorphism construction; smaller windows run in
 "oracle" mode where the value is advisory and breadth-first search over the
 actual Cayley graph is authoritative.  Full-support torsion in oracle mode is
-decided by capped exhaustive search over factor pairs.
+decided by exhaustive search over factor pairs, one numpy kernel that returns
+the first hit in ``itertools.product`` order and refuses more than
+``PM_SEARCH_CAP`` free choices; its factor tables are cached per window width
+on the base group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iter_product
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .commutators import (
     RESOLVED_XI_VARIANT,  # re-exported: the recorded xi decision
@@ -48,7 +52,7 @@ from .commutators import (
     factor_plus,
     is_pm_commutator,
 )
-from .groups import CapExceededError
+from .groups import CapExceededError, FiniteGroup
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
 from .props import require_statements, satisfies_s_conditions, statement_holds
 
@@ -108,8 +112,10 @@ def pm_commutator_truncated(h: LampElem) -> bool:
     decision applies (the class-product predicate is invariant under cyclic
     rotation of its arguments, so the cut position does not matter).  Weight
     >= 4 over an S3 base is always yes, gap or not.  Everything else (full
-    support of weight <= 3, weight >= 4 without S3) falls back to capped
-    exhaustive search over factor pairs.
+    support of weight <= 3, weight >= 4 without S3) is decided by
+    :func:`_pm_cyclic_exhaustive`, the numpy kernel over all factor pairs,
+    which raises ``CapExceededError`` when its |P|^(2n) free choices exceed
+    ``PM_SEARCH_CAP``.
     """
     if h.window is None or h.shift != 0:
         raise ValueError("expects a shift-0 truncated element")
@@ -120,12 +126,48 @@ def pm_commutator_truncated(h: LampElem) -> bool:
     return _pm_cyclic_exhaustive(h) is not None
 
 
+def _closed_factors(
+    base: FiniteGroup, width: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+    """(mul, inv, digits, closing): every factor u of the cyclic search.
+
+    Row j of ``digits`` is u at index j - n: entry r holds base-|P| digit j
+    of r, most significant first, so entries run in ``itertools.product``
+    order.  ``closing[order]`` is u at index n, the inverse of the decreasing
+    product of the digits for "-+" and of the increasing one for "+-".  All
+    arrays, the group tables included, use the smallest unsigned dtype that
+    holds |P| - 1.  Built once per width and cached on the group: for
+    |P| <= 256, |P|^(width-1) * (width + 1) bytes, so at most
+    2,000,000 * (width + 1) under ``PM_SEARCH_CAP`` (16.8 MB for S3 at
+    window 4).
+    """
+    tables = base._cyclic_factor_tables
+    if width not in tables:
+        b, k = len(base), width - 1
+        dtype = np.min_scalar_type(b - 1)
+        mul = np.asarray(base._mul_table, dtype=dtype)
+        inv = np.asarray(base._inv_table, dtype=dtype)
+        values = np.arange(b, dtype=dtype)
+        digits = np.stack(
+            [np.tile(np.repeat(values, b ** (k - 1 - j)), b**j) for j in range(k)]
+        )
+        dec = inc = digits[0]
+        for col in digits[1:]:
+            dec, inc = mul[col, dec], mul[inc, col]
+        tables[width] = mul, inv, digits, {"-+": inv[dec], "+-": inv[inc]}
+    return tables[width]
+
+
 def _pm_cyclic_exhaustive(h: LampElem) -> tuple[str, LampElem, LampElem] | None:
     """Search factor pairs u, v with h = u.v pointwise, for both sign orders.
 
     A "-+" pair needs the decreasing cyclic product of u and the increasing
-    cyclic product of v to vanish; "+-" mirrors this.  Returns (order, u, v)
-    for the first hit in lexicographic order over the free digits, or None.
+    cyclic product of v to vanish; "+-" mirrors this.  Fixing u at -n..n-1
+    determines u at n (see :func:`_closed_factors`) and v_i = u_i^-1 h_i,
+    so one numpy fold over all |P|^(2n) choices decides an order.  Returns
+    (order, u, v) for the first hit in ``itertools.product`` order over the
+    free digits, "-+" before "+-", or None.  Raises ``CapExceededError``
+    before allocating anything when |P|^(2n) exceeds ``PM_SEARCH_CAP``.
     """
     base = h.base
     n = h.window
@@ -134,26 +176,24 @@ def _pm_cyclic_exhaustive(h: LampElem) -> tuple[str, LampElem, LampElem] | None:
     total = len(base) ** (width - 1)
     if total > PM_SEARCH_CAP:
         raise CapExceededError(f"cyclic factor search would visit {total} states")
+    mul, inv, digits, closing = _closed_factors(base, width)
     positions = list(range(-n, n + 1))
     hvals = [h.value_at(i) for i in positions]
     ident = base.identity_index
     for order in ("-+", "+-"):
-        for choice in iter_product(range(len(base)), repeat=width - 1):
-            u_vals = list(choice)
-            if order == "-+":
-                # close the decreasing product u_n ... u_{-n} to the identity
-                u_vals.append(base.inv(base.mul_many(reversed(u_vals))))
-            else:
-                u_vals.append(base.inv(base.mul_many(u_vals)))
-            v_vals = [base.mul(base.inv(a), b) for a, b in zip(u_vals, hvals)]
-            if order == "-+":
-                ok = base.mul_many(v_vals) == ident
-            else:
-                ok = base.mul_many(reversed(v_vals)) == ident
-            if ok:
-                u_elem = LampElem.make(base, dict(zip(positions, u_vals)), 0, n)
-                v_elem = LampElem.make(base, dict(zip(positions, v_vals)), 0, n)
-                return order, u_elem, v_elem
+        u_cols = [*digits, closing[order]]
+        v_cols = [mul[inv, hv][col] for col, hv in zip(u_cols, hvals)]
+        acc = v_cols[0]
+        for col in v_cols[1:]:
+            acc = mul[acc, col] if order == "-+" else mul[col, acc]
+        hits = np.flatnonzero(acc == ident)
+        if hits.size:
+            r = hits[0]
+            u_vals = [int(col[r]) for col in u_cols]
+            v_vals = [int(col[r]) for col in v_cols]
+            u_elem = LampElem.make(base, dict(zip(positions, u_vals)), 0, n)
+            v_elem = LampElem.make(base, dict(zip(positions, v_vals)), 0, n)
+            return order, u_elem, v_elem
     return None
 
 

@@ -53,7 +53,9 @@ class LampElem:
     ) -> "LampElem":
         if window is not None and window < 1:
             raise ValueError("truncated mode needs n >= 1")
-        items = support.items() if isinstance(support, Mapping) else support
+        # the exact-type test spares a dict the slower ABC check
+        mapping = type(support) is dict or isinstance(support, Mapping)
+        items = support.items() if mapping else support
         size, ident = len(base.elements), base.identity_index
         cleaned: dict[int, int] = {}
         for idx, val in items:
@@ -155,7 +157,7 @@ class LampElem:
 
     def support_values(self) -> tuple[int, ...]:
         """Base values in increasing index order."""
-        return tuple(v for _, v in self.support)
+        return tuple([v for _, v in self.support])
 
     def stats(self) -> SupportStats:
         if not self.support:

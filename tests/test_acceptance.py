@@ -83,3 +83,18 @@ def test_random_pseudo_norm_matches_fraction_search(name):
         assert values == tuple(_reference_random_pseudo_norm(slow, base))
         assert all(type(v) is Fraction for v in values)
     assert fast.random() == slow.random()
+
+
+def _reference_agreement_thresholds(table):
+    """``_agreement_thresholds`` with the sums formed on Fractions."""
+    values = sorted({Fraction(v) for v in table.values})
+    sums = {a + b for a in values for b in values}
+    return sorted(set(values) | sums | {Fraction(0)})
+
+
+def test_agreement_thresholds_match_fraction_sums(c8_tables):
+    words = [acceptance._word_table(acceptance.group(n)) for n in ("S3", "A4", "S4")]
+    for table in words + c8_tables:
+        thresholds = acceptance._agreement_thresholds(table)
+        assert thresholds == _reference_agreement_thresholds(table)
+        assert all(type(q) is Fraction for q in thresholds)

@@ -1,13 +1,16 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from wreathnorm.acceptance import acyclic_mixed
 from wreathnorm.commutators import is_pm_commutator
-from wreathnorm.groups import builtin_group, perm_from_cycles
+from wreathnorm.groups import CapExceededError, builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
+    PM_SEARCH_CAP,
+    _pm_cyclic_exhaustive,
     case_norm,
     check_geodesic,
     geodesic,
@@ -167,6 +170,99 @@ def test_pm_truncated_full_support_cyclic_search(s3):
     assert result == (res.norm_of(yes) == 2)
 
 
+def reference_pm_cyclic_exhaustive(h):
+    """``_pm_cyclic_exhaustive`` as one Python loop over the free digits."""
+    base = h.base
+    n = h.window
+    width = 2 * n + 1
+    total = len(base) ** (width - 1)
+    if total > PM_SEARCH_CAP:
+        raise CapExceededError(f"cyclic factor search would visit {total} states")
+    positions = list(range(-n, n + 1))
+    hvals = [h.value_at(i) for i in positions]
+    ident = base.identity_index
+    for order in ("-+", "+-"):
+        for choice in product(range(len(base)), repeat=width - 1):
+            u_vals = list(choice)
+            if order == "-+":
+                # close the decreasing product u_n ... u_{-n} to the identity
+                u_vals.append(base.inv(base.mul_many(reversed(u_vals))))
+            else:
+                u_vals.append(base.inv(base.mul_many(u_vals)))
+            v_vals = [base.mul(base.inv(a), b) for a, b in zip(u_vals, hvals)]
+            if order == "-+":
+                ok = base.mul_many(v_vals) == ident
+            else:
+                ok = base.mul_many(reversed(v_vals)) == ident
+            if ok:
+                u_elem = LampElem.make(base, dict(zip(positions, u_vals)), 0, n)
+                v_elem = LampElem.make(base, dict(zip(positions, v_vals)), 0, n)
+                return order, u_elem, v_elem
+    return None
+
+
+# (base, window, seeded sample size); None compares every shift-0 state
+CYCLIC_SEARCH_STATES = [
+    ("S3", 1, None),
+    ("A4", 1, None),
+    ("S3", 2, 200),
+    ("S4", 1, 100),
+    ("A5", 1, 100),
+    ("A4", 2, 5),
+]
+
+
+@pytest.mark.parametrize(
+    "name, window, samples",
+    CYCLIC_SEARCH_STATES,
+    ids=[f"{name}w{window}" for name, window, _ in CYCLIC_SEARCH_STATES],
+)
+def test_cyclic_search_kernel_matches_reference(name, window, samples):
+    base = builtin_group(name)
+    positions = range(-window, window + 1)
+    if samples is None:
+        rows = product(range(len(base)), repeat=len(positions))
+    else:
+        rng = random.Random(f"cyclic search {name}w{window}")
+        rows = ([rng.randrange(len(base)) for _ in positions] for _ in range(samples))
+    outcomes = Counter()
+    for values in rows:
+        h = LampElem.make(base, dict(zip(positions, values)), 0, window)
+        found = _pm_cyclic_exhaustive(h)
+        assert found == reference_pm_cyclic_exhaustive(h)
+        outcomes[None if found is None else found[0]] += 1
+    assert outcomes[None] and outcomes["-+"]
+
+
+def test_cyclic_search_cap_raises_before_building(a5):
+    # 60^4 = 12,960,000 free digits at window 2, above the 2,000,000 cap
+    h = LampElem.make(a5, {i: 1 for i in range(-2, 3)}, 0, window=2)
+    with pytest.raises(CapExceededError):
+        _pm_cyclic_exhaustive(h)
+    with pytest.raises(CapExceededError):
+        reference_pm_cyclic_exhaustive(h)
+    assert 5 not in a5._cyclic_factor_tables
+
+
+def test_oracle_mode_shift0_weight4_and_5_against_bfs(s3):
+    # The S3 w2 states that test_case_tables_against_bfs leaves out: every
+    # shift-0 state of weight >= 4, each decided by the cyclic search.
+    res = bfs_norms(s3, 2)
+    disagree = Counter()
+    checked = 0
+    for values in product(range(len(s3)), repeat=5):
+        g = LampElem.make(s3, dict(zip(range(-2, 3), values)), 0, window=2)
+        if g.weight() < 4:
+            continue
+        checked += 1
+        value = norm_truncated(g, mode="oracle")
+        bfs_val = int(res.distances[res.group.encode(g)])
+        if value != bfs_val:
+            disagree[value, bfs_val] += 1
+    assert checked == 6250
+    assert dict(disagree) == {}
+
+
 # (base, window) -> states compared and the disagreements with BFS, as
 # (shift, table value, BFS value) -> count; the same for both tables
 CASE_TABLE_PINS = {
@@ -179,8 +275,8 @@ CASE_TABLE_PINS = {
 @pytest.mark.parametrize("name, window", list(CASE_TABLE_PINS), ids=["S3w1", "A4w1", "S3w2"])
 def test_case_tables_against_bfs(name, window):
     # Oracle-mode norm_truncated (cyclic predicates) and the acyclic table of
-    # criterion C5 against BFS.  Shift-0 weight >= 4 is left out: over S3 each
-    # such state runs the cyclic exhaustive search.
+    # criterion C5 against BFS.  Shift-0 weight >= 4 is left out; on S3 w2
+    # test_oracle_mode_shift0_weight4_and_5_against_bfs covers it.
     res = bfs_norms(builtin_group(name), window)
     tables = {
         "cyclic": lambda g: norm_truncated(g, mode="oracle"),

@@ -125,22 +125,38 @@ def test_membership_basics(a5):
     assert not in_Sbar(LampElem.identity(a5))
 
 
+def tuple_factor_images(base, choices):
+    """The plus and minus factor images over the vectors g with values
+    ``choices`` at indices 1..3, built as support tuples: index i gets
+    g_i g_(i+1)^-1 in the plus image and g_(i+1) g_i^-1 in the minus image."""
+    e = base.identity_index
+    size = range(len(base))
+    over = [[base.mul(x, base.inv(y)) for y in size] for x in size]  # x y^-1
+    plus_image, minus_image = set(), set()
+    for a, b, c in choices:  # g_1, g_2, g_3; g_0 = g_4 = e
+        plus = ((0, over[e][a]), (1, over[a][b]), (2, over[b][c]), (3, over[c][e]))
+        minus = ((0, over[a][e]), (1, over[b][a]), (2, over[c][b]), (3, over[e][c]))
+        plus_image.add(tuple([p for p in plus if p[1] != e]))
+        minus_image.add(tuple([m for m in minus if m[1] != e]))
+    return plus_image, minus_image
+
+
 @pytest.mark.parametrize("group_name", ["S3", "A5"])
 def test_telescoping_equals_existential_definition(group_name, s3, a5):
     base = {"S3": s3, "A5": a5}[group_name]
     window = (1, 2, 3)
-    plus_image = set()
-    minus_image = set()
-    for choice in product(range(len(base)), repeat=3):
-        vec = LampElem.make(base, dict(zip(window, choice)), 0)
-        plus_image.add(vec.mul(vec.inverse().alpha(1)).support)
-        minus_image.add(vec.alpha(1).mul(vec.inverse()).support)
-    for choice in product(range(len(base)), repeat=3):
+    choices = list(product(range(len(base)), repeat=3))
+    plus_image, minus_image = tuple_factor_images(base, choices)
+    if group_name == "S3":
+        # the tuple-built images are those of g . alpha(g^-1) and alpha(g) . g^-1
+        vecs = [LampElem.make(base, dict(zip(window, c)), 0) for c in choices]
+        assert plus_image == {v.mul(v.inverse().alpha(1)).support for v in vecs}
+        assert minus_image == {v.alpha(1).mul(v.inverse()).support for v in vecs}
+    t, t_inv = LampElem.t_power(base, 1), LampElem.t_power(base, -1)
+    for choice in choices:
         target = LampElem.make(base, dict(zip(window, choice)), 0)
-        plus = target.mul(LampElem.t_power(base, 1))
-        assert in_Tplus(plus) == (target.support in plus_image)
-        minus = target.mul(LampElem.t_power(base, -1))
-        assert in_Tminus(minus) == (target.support in minus_image)
+        assert in_Tplus(target.mul(t)) == (target.support in plus_image)
+        assert in_Tminus(target.mul(t_inv)) == (target.support in minus_image)
 
 
 def test_in_sbar_conjugation_invariant(a5):
