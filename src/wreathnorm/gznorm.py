@@ -32,6 +32,24 @@ decided by exhaustive search over factor pairs, one numpy kernel that returns
 the first hit in ``itertools.product`` order and refuses more than
 ``PM_SEARCH_CAP`` free choices; its factor tables are cached per window width
 on the base group.
+
+One sign order suffices for that search.  Write Sbar_k for the members of
+the generating set with shift k; on a truncation Sbar_1 = T+, Sbar_-1 = T-.
+
+Lemma.  A shift-0 h lies in Sbar_1 . Sbar_-1 iff it lies in Sbar_-1 . Sbar_1,
+and the "-+" search decides the latter.
+
+Proof.  (1) x = (u, -1) is in T- iff u has vanishing decreasing cyclic
+product; y = (a, 1) is in T+ iff a has vanishing increasing cyclic product,
+iff v = alpha^-1(a) does (a cyclic rotation of a product is a conjugate of
+it).  As x.y = (u . shift^-1(a), 0) = u.v pointwise, h is in T- . T+ iff
+some such u makes v_i = u_i^-1 h_i vanish in increasing order.  The search
+frees u at -n..n-1, closes u at n and tests exactly that; a hit gives the
+factors u.t^-1 and alpha(v).t.
+(2) Sbar is conjugation-closed and the shift is a homomorphism: if h = a.b
+with a in Sbar_1 and b in Sbar_-1, then h = b.(b^-1 a b) with b^-1 a b in
+Sbar_1, and if h = b.a, then h = (b a b^-1).b.  So the two products are one
+set, and a "+-" search would hit on exactly the same states.
 """
 
 from __future__ import annotations
@@ -54,6 +72,7 @@ from .commutators import (
 )
 from .groups import CapExceededError, FiniteGroup
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
+from .norms import fmt_fraction
 from .props import require_statements, satisfies_s_conditions, statement_holds
 
 PM_SEARCH_CAP = 2_000_000
@@ -128,17 +147,16 @@ def pm_commutator_truncated(h: LampElem) -> bool:
 
 def _closed_factors(
     base: FiniteGroup, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(mul, inv, digits, closing): every factor u of the cyclic search.
 
     Row j of ``digits`` is u at index j - n: entry r holds base-|P| digit j
     of r, most significant first, so entries run in ``itertools.product``
-    order.  ``closing[order]`` is u at index n, the inverse of the decreasing
-    product of the digits for "-+" and of the increasing one for "+-".  All
-    arrays, the group tables included, use the smallest unsigned dtype that
-    holds |P| - 1.  Built once per width and cached on the group: for
-    |P| <= 256, |P|^(width-1) * (width + 1) bytes, so at most
-    2,000,000 * (width + 1) under ``PM_SEARCH_CAP`` (16.8 MB for S3 at
+    order.  ``closing`` is u at index n, the inverse of the decreasing
+    product of the digits.  All arrays, the group tables included, use the
+    smallest unsigned dtype that holds |P| - 1.  Built once per width and
+    cached on the group: for |P| <= 256, |P|^(width-1) * width bytes, so at
+    most 2,000,000 * width under ``PM_SEARCH_CAP`` (15.1 MB for S3 at
     window 4).
     """
     tables = base._cyclic_factor_tables
@@ -151,23 +169,24 @@ def _closed_factors(
         digits = np.stack(
             [np.tile(np.repeat(values, b ** (k - 1 - j)), b**j) for j in range(k)]
         )
-        dec = inc = digits[0]
+        dec = digits[0]
         for col in digits[1:]:
-            dec, inc = mul[col, dec], mul[inc, col]
-        tables[width] = mul, inv, digits, {"-+": inv[dec], "+-": inv[inc]}
+            dec = mul[col, dec]
+        tables[width] = mul, inv, digits, inv[dec]
     return tables[width]
 
 
-def _pm_cyclic_exhaustive(h: LampElem) -> tuple[str, LampElem, LampElem] | None:
-    """Search factor pairs u, v with h = u.v pointwise, for both sign orders.
+def _pm_cyclic_exhaustive(h: LampElem) -> tuple[LampElem, LampElem] | None:
+    """Search factor pairs u, v with h = u.v pointwise ("-+" order).
 
-    A "-+" pair needs the decreasing cyclic product of u and the increasing
-    cyclic product of v to vanish; "+-" mirrors this.  Fixing u at -n..n-1
-    determines u at n (see :func:`_closed_factors`) and v_i = u_i^-1 h_i,
-    so one numpy fold over all |P|^(2n) choices decides an order.  Returns
-    (order, u, v) for the first hit in ``itertools.product`` order over the
-    free digits, "-+" before "+-", or None.  Raises ``CapExceededError``
-    before allocating anything when |P|^(2n) exceeds ``PM_SEARCH_CAP``.
+    The decreasing cyclic product of u and the increasing cyclic product of
+    v must vanish.  Fixing u at -n..n-1 determines u at n (see
+    :func:`_closed_factors`) and v_i = u_i^-1 h_i, so one numpy fold over all
+    |P|^(2n) choices decides the search; by the lemma in the module docstring
+    the "+-" order hits on the same states.  Returns (u, v) for the first hit
+    in ``itertools.product`` order over the free digits, or None.  Raises
+    ``CapExceededError`` before allocating anything when |P|^(2n) exceeds
+    ``PM_SEARCH_CAP``.
     """
     base = h.base
     n = h.window
@@ -178,23 +197,20 @@ def _pm_cyclic_exhaustive(h: LampElem) -> tuple[str, LampElem, LampElem] | None:
         raise CapExceededError(f"cyclic factor search would visit {total} states")
     mul, inv, digits, closing = _closed_factors(base, width)
     positions = list(range(-n, n + 1))
-    hvals = [h.value_at(i) for i in positions]
-    ident = base.identity_index
-    for order in ("-+", "+-"):
-        u_cols = [*digits, closing[order]]
-        v_cols = [mul[inv, hv][col] for col, hv in zip(u_cols, hvals)]
-        acc = v_cols[0]
-        for col in v_cols[1:]:
-            acc = mul[acc, col] if order == "-+" else mul[col, acc]
-        hits = np.flatnonzero(acc == ident)
-        if hits.size:
-            r = hits[0]
-            u_vals = [int(col[r]) for col in u_cols]
-            v_vals = [int(col[r]) for col in v_cols]
-            u_elem = LampElem.make(base, dict(zip(positions, u_vals)), 0, n)
-            v_elem = LampElem.make(base, dict(zip(positions, v_vals)), 0, n)
-            return order, u_elem, v_elem
-    return None
+    u_cols = [*digits, closing]
+    v_cols = [mul[inv, h.value_at(i)][col] for i, col in zip(positions, u_cols)]
+    acc = v_cols[0]
+    for col in v_cols[1:]:
+        acc = mul[acc, col]
+    hits = np.flatnonzero(acc == base.identity_index)
+    if not hits.size:
+        return None
+    r = hits[0]
+    u, v = (
+        LampElem.make(base, {i: int(col[r]) for i, col in zip(positions, cols)}, 0, n)
+        for cols in (u_cols, v_cols)
+    )
+    return u, v
 
 
 # -- geodesics -----------------------------------------------------------------
@@ -231,28 +247,15 @@ def geodesic(g: LampElem) -> Geodesic:
         return Geodesic(g, (g,))
     torsion = _torsion(g)
     if m == 0:
-        if w == 2:
-            singles = tuple(
-                LampElem.make(base, {i: v}, 0, window) for i, v in g.support
-            )
-            return Geodesic(g, singles)
-        if norm == 2:
-            order, u, v = _pm_witness_factors(torsion)
-            if order == "-+":
-                s1 = u.mul(t_inv)
-                s2 = v.alpha(1).mul(t)
-            else:
-                s1 = u.mul(t)
-                s2 = v.alpha(-1).mul(t_inv)
-            return Geodesic(g, (s1, s2))
+        if norm == 2 and w > 2:
+            u, v = _pm_witness_factors(torsion)
+            return Geodesic(g, (u.mul(t_inv), v.alpha(1).mul(t)))
         if w > 3:
             raise ValueError(
                 "no length-3 factorization for a non-mixed element of weight > 3"
             )
-        singles = tuple(
-            LampElem.make(base, {i: v}, 0, window) for i, v in g.support
-        )
-        return Geodesic(g, singles)
+        singles = (LampElem.single(base, i, v, window) for i, v in g.support)
+        return Geodesic(g, tuple(singles))
     if m == 1:
         witness, residual = build_pm1_decomposition(torsion, 1)
         s1 = factor_plus(witness.vectors[0]).mul(t)
@@ -280,18 +283,16 @@ def geodesic(g: LampElem) -> Geodesic:
     return Geodesic(g, (s1, s2) + (t_inv,) * (-m - 2))
 
 
-def _pm_witness_factors(h: LampElem) -> tuple[str, LampElem, LampElem]:
-    """Factor pair (order, u, v) with h = u*v pointwise.
+def _pm_witness_factors(h: LampElem) -> tuple[LampElem, LampElem]:
+    """Factor pair (u, v) with h = u*v pointwise.
 
-    For order "-+" the vector u has vanishing decreasing product (it feeds a
-    t^-1 conjugate) and v vanishing increasing product; "+-" mirrors this.
-    Only called when the corresponding norm branch already decided the element
-    is a mixed commutator.
+    The vector u has vanishing decreasing product (it feeds a t^-1
+    conjugate) and v vanishing increasing product.  Only called when the
+    norm branch already decided the element is a mixed commutator.
     """
     if h.window is None:
-        witness = build_pm_commutator(h, "-+")
-        g1, g2 = witness.vectors
-        return "-+", factor_minus(g1), factor_plus(g2)
+        g1, g2 = build_pm_commutator(h, "-+").vectors
+        return factor_minus(g1), factor_plus(g2)
     n = h.window
     if h.weight() == 2 * n + 1:
         found = _pm_cyclic_exhaustive(h)
@@ -309,10 +310,10 @@ def _pm_witness_factors(h: LampElem) -> tuple[str, LampElem, LampElem]:
         LampElem.make(h.base, dict(vec.support), 0, n).alpha(-r)
         for vec in witness.vectors
     )
-    return "-+", factor_minus(g1), factor_plus(g2)
+    return factor_minus(g1), factor_plus(g2)
 
 
-def check_geodesic(geo: Geodesic, expect_support_bounds: bool = True) -> bool:
+def check_geodesic(geo: Geodesic) -> bool:
     g = geo.target
     acc = LampElem.identity(g.base, g.window)
     for s in geo.factors:
@@ -321,7 +322,7 @@ def check_geodesic(geo: Geodesic, expect_support_bounds: bool = True) -> bool:
         acc = acc.mul(s)
     if acc != g:
         return False
-    if expect_support_bounds and g.window is None and g.support:
+    if g.window is None and g.support:
         lo = g.support_indices()[0] - 2
         hi = g.support_indices()[-1] + 2
         for s in geo.factors:
@@ -419,7 +420,7 @@ def verify_KQ_almost_hom(
             src, tgt = _symbol(src_val, q), _symbol(tgt_val, q)
             row = {
                 "g": g_i,
-                "q": f"{q.numerator}/{q.denominator}",
+                "q": fmt_fraction(q),
                 "source": src,
                 "target": tgt,
                 "ok": src == tgt,

@@ -8,7 +8,9 @@ shift.  The product follows the semidirect law
 
 where ``shift`` moves support one step down: value at index j lands at j - 1.
 Canonical form stores no identity values, reduces truncated indices and shifts
-into {-n, ..., n}, and makes elements hashable and safe to share.
+into {-n, ..., n}, and makes elements hashable and safe to share.  ``make`` is
+the checked entry point; ``mul``, ``inverse`` and ``alpha`` keep canonical
+operands canonical and build their results directly.
 
 Membership predicates for the conjugacy-closed generating set: a non-identity
 element belongs iff it is a single support with shift 0, or has shift +1 and
@@ -106,7 +108,10 @@ class LampElem:
                 acc.pop(i, None)
             else:
                 acc[i] = w
-        return LampElem.make(base, acc, self.shift + other.shift, self.window)
+        shift = self.shift + other.shift
+        if self.window is not None:
+            shift = _reduce(shift, self.window)
+        return LampElem(base, self.window, shift, tuple(sorted(acc.items())))
 
     def __mul__(self, other: "LampElem") -> "LampElem":
         return self.mul(other)
@@ -119,7 +124,7 @@ class LampElem:
             if self.window is not None:
                 i = _reduce(i, self.window)
             acc[i] = base.inv(v)
-        return LampElem.make(base, acc, -self.shift, self.window)
+        return LampElem(base, self.window, -self.shift, tuple(sorted(acc.items())))
 
     def conjugate(self, y: "LampElem") -> "LampElem":
         """y^-1 * self * y, matching the package-wide conjugation convention."""
@@ -129,12 +134,9 @@ class LampElem:
         """Apply the shift automorphism k times to a shift-0 element."""
         if self.shift != 0:
             raise ValueError("alpha acts on shift-0 elements")
-        return LampElem.make(
-            self.base,
-            {i - k: v for i, v in self.support},
-            0,
-            self.window,
-        )
+        n = self.window
+        moved = ((i - k if n is None else _reduce(i - k, n), v) for i, v in self.support)
+        return LampElem(self.base, n, 0, tuple(sorted(moved)))
 
     def is_identity(self) -> bool:
         return self.shift == 0 and not self.support

@@ -37,7 +37,7 @@ class Violation:
         return {
             "axiom": self.axiom,
             "witness": list(self.witness),
-            "values": [_fmt(v) for v in self.values],
+            "values": [fmt_fraction(v) for v in self.values],
         }
 
 
@@ -50,7 +50,7 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
-def _fmt(v: Value) -> str:
+def fmt_fraction(v: Value) -> str:
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}"
 
@@ -98,7 +98,7 @@ class NormTable:
 
     def to_json(self) -> list[dict]:
         return [
-            {"element": i, "value": _fmt(v)} for i, v in enumerate(self.values)
+            {"element": i, "value": fmt_fraction(v)} for i, v in enumerate(self.values)
         ]
 
     @classmethod

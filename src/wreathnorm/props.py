@@ -110,10 +110,8 @@ def check_S2(group: FiniteGroup) -> PropReport:
     return PropReport("S2", True, None)
 
 
-def check_S3(group: FiniteGroup, raw: bool = False) -> PropReport:
+def check_S3(group: FiniteGroup) -> PropReport:
     """S3: products of any three non-trivial classes cover the non-identity part."""
-    if raw:
-        return _check_S3_raw(group)
     table = group.conj_classes
     ident = group.identity_index
     reps = table.representatives()

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .groups import FiniteGroup
-from .norms import NormTable, scale_to_integers
+from .norms import NormTable, fmt_fraction, scale_to_integers
 
 Symbol = str  # one of "<", "=", ">"
 
@@ -50,7 +50,7 @@ class WeightFn:
 
     def to_json(self) -> dict:
         return {
-            "thresholds": [f"{q.numerator}/{q.denominator}" for q in self.thresholds],
+            "thresholds": [fmt_fraction(q) for q in self.thresholds],
             "rows": {str(i): list(row) for i, row in enumerate(self.rows)},
         }
 
@@ -135,10 +135,6 @@ class AxiomReport:
         }
 
 
-def _fmt_q(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
-
-
 def check_axioms(f: WeightFn, theory: str) -> AxiomReport:
     """Exhaustively evaluate every schema instance expressible over the
     thresholds; each violation carries a witness."""
@@ -149,7 +145,7 @@ def check_axioms(f: WeightFn, theory: str) -> AxiomReport:
     rows = f.rows
     qs = f.thresholds
     k = len(qs)
-    fmt = [_fmt_q(q) for q in qs]
+    fmt = [fmt_fraction(q) for q in qs]
     le = [[s in ("<", "=") for s in row] for row in rows]  # value <= q
     ge = [[s in (">", "=") for s in row] for row in rows]  # value >= q
     report = AxiomReport(theory, True)

@@ -365,3 +365,75 @@ def test_axioms_validate_stdout_pinned(capsys, monkeypatch, table, thresholds, t
     assert code == (1 if table == "S3 violating" and theory != "T_W" else 0)
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == AXIOMS_VALIDATE_SHA256[(table, thresholds, theory)]
+
+
+# Full-support shift-0 elements whose truncated norms go through the cyclic
+# factor search (S3 and A5 at window 1, S3 at window 2) or the S3-statement
+# shortcut (A5 at window 2), one mixed and one not where both exist.
+FULL_SUPPORT_ELEMENTS = {
+    "S3w1 mixed": ("S3", 1, {"-1": [2, 0, 1], "0": [2, 1, 0], "1": [1, 0, 2]}),
+    "S3w1 not mixed": ("S3", 1, {"-1": [0, 2, 1], "0": [0, 2, 1], "1": [0, 2, 1]}),
+    "S3w2 mixed": (
+        "S3", 2,
+        {"-2": [2, 0, 1], "-1": [2, 0, 1], "0": [0, 2, 1], "1": [1, 2, 0], "2": [1, 0, 2]},
+    ),
+    "S3w2 not mixed": (
+        "S3", 2,
+        {"-2": [1, 2, 0], "-1": [2, 1, 0], "0": [1, 0, 2], "1": [2, 1, 0], "2": [1, 2, 0]},
+    ),
+    "A5w1 mixed": (
+        "A5", 1, {"-1": [1, 2, 3, 4, 0], "0": [0, 1, 3, 4, 2], "1": [1, 3, 0, 4, 2]},
+    ),
+    "A5w1 not mixed": (
+        "A5", 1, {"-1": [4, 3, 1, 0, 2], "0": [1, 2, 3, 4, 0], "1": [4, 2, 1, 3, 0]},
+    ),
+    "A5w2 mixed": (
+        "A5", 2,
+        {
+            "-2": [3, 4, 2, 0, 1], "-1": [2, 0, 1, 3, 4], "0": [3, 4, 1, 2, 0],
+            "1": [1, 3, 2, 0, 4], "2": [3, 0, 1, 4, 2],
+        },
+    ),
+}
+# sha256 of `norm eval --truncated n --mode oracle` and `decompose --kind pm`
+# stdout on those elements, recorded before the cyclic search dropped its
+# "+-" pass and LampElem arithmetic stopped going through make.
+NORM_EVAL_SHA256 = {
+    "S3w1 mixed": "9b763ee4dc9c6a5d330a3a1523a83a83fd115fee78d62f7852ac92a7e4ffe822",
+    "S3w1 not mixed": "65476f3679464ade4fbb5717315111631ac67a2ddfd18979ada1690ddcc6f127",
+    "S3w2 mixed": "865901ef17c3282b6dbfaf622742d76a18d35486daec402d13026d732c42424f",
+    "S3w2 not mixed": "721c3a3629bbdafdad57310bddcb0c8e15251eb6eeb6ad579e19b201ec8dc716",
+    "A5w1 mixed": "3801fd5e3cc164facb8cc43f8462dcc41f3ef8b4fb4d9a7000e8239c14e620e9",
+    "A5w1 not mixed": "6c3934ced605fd5288f74d20a1f866ffb39e216b04c9d68799c0c5854191e1af",
+    "A5w2 mixed": "ebebf7a5929e31561d731a6fbe99d07a3aff7350bfa8f112f3fc3d0302836c78",
+}
+# (exit code, sha256); exit 2 is a structured error: the non-mixed weight-3
+# elements fail the class-product condition, and weight 5 needs statement S3
+DECOMPOSE_PM_SHA256 = {
+    "S3w1 mixed": (0, "422b5fe5a2d9f543d4cd24d9d584c2a51f7ef1c121142ef89ee4ff0997c92f3a"),
+    "S3w1 not mixed": (2, "669a260371e36d1f8aa4ab4479c9ed50cd8a9ab312662c30e1b134afcae47398"),
+    "S3w2 mixed": (2, "a19eafb8befd448478240b7ea85f10a0ea04da25bf9a32c5ffbbbd489bc2628c"),
+    "S3w2 not mixed": (2, "a19eafb8befd448478240b7ea85f10a0ea04da25bf9a32c5ffbbbd489bc2628c"),
+    "A5w1 mixed": (0, "9d8d8cf39c3c534e45769ff276f5b229685405de7e017dcab9dbe03310df2d9b"),
+    "A5w1 not mixed": (2, "669a260371e36d1f8aa4ab4479c9ed50cd8a9ab312662c30e1b134afcae47398"),
+    "A5w2 mixed": (0, "609b2420c2fe2a04bea4cab8cc87e1f49f53f5acbc43815a54a4fb119c8a1da8"),
+}
+
+
+@pytest.mark.parametrize("key", list(FULL_SUPPORT_ELEMENTS))
+def test_norm_eval_and_decompose_stdout_pinned(capsys, monkeypatch, key):
+    monkeypatch.delenv("WREATHNORM_STATE_CAP", raising=False)
+    monkeypatch.delenv("WREATHNORM_GEN_CAP", raising=False)
+    group, window, support = FULL_SUPPORT_ELEMENTS[key]
+    element = json.dumps({"shift": 0, "support": support})
+    code, out, _ = run_cli(
+        capsys, "norm", "eval", "--group", group, "--element", element,
+        "--truncated", str(window), "--mode", "oracle",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == NORM_EVAL_SHA256[key]
+    code, out, _ = run_cli(
+        capsys, "decompose", "--group", group, "--element", element, "--kind", "pm"
+    )
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert (code, digest) == DECOMPOSE_PM_SHA256[key]

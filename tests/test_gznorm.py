@@ -170,8 +170,9 @@ def test_pm_truncated_full_support_cyclic_search(s3):
     assert result == (res.norm_of(yes) == 2)
 
 
-def reference_pm_cyclic_exhaustive(h):
-    """``_pm_cyclic_exhaustive`` as one Python loop over the free digits."""
+def reference_pm_cyclic_exhaustive(h, orders=("-+", "+-")):
+    """The cyclic factor search as one Python loop over the free digits, for
+    each sign order in turn; returns (order, u, v) for the first hit."""
     base = h.base
     n = h.window
     width = 2 * n + 1
@@ -181,7 +182,7 @@ def reference_pm_cyclic_exhaustive(h):
     positions = list(range(-n, n + 1))
     hvals = [h.value_at(i) for i in positions]
     ident = base.identity_index
-    for order in ("-+", "+-"):
+    for order in orders:
         for choice in product(range(len(base)), repeat=width - 1):
             u_vals = list(choice)
             if order == "-+":
@@ -229,9 +230,66 @@ def test_cyclic_search_kernel_matches_reference(name, window, samples):
     for values in rows:
         h = LampElem.make(base, dict(zip(positions, values)), 0, window)
         found = _pm_cyclic_exhaustive(h)
-        assert found == reference_pm_cyclic_exhaustive(h)
-        outcomes[None if found is None else found[0]] += 1
-    assert outcomes[None] and outcomes["-+"]
+        expected = reference_pm_cyclic_exhaustive(h)
+        # the reference tries "+-" after a "-+" miss; the lemma says it never hits
+        assert expected is None or expected[0] == "-+"
+        assert found == (None if expected is None else expected[1:])
+        outcomes[found is not None] += 1
+    assert outcomes[False] and outcomes[True]
+
+
+LEMMA_STATES = [("S3", 1), ("A4", 1), ("Z3", 1), ("Z4", 1), ("Z3", 2)]
+
+
+@pytest.mark.parametrize(
+    "name, window", LEMMA_STATES, ids=[f"{name}w{window}" for name, window in LEMMA_STATES]
+)
+def test_sign_orders_hit_on_the_same_states(name, window):
+    # Sbar_1 . Sbar_-1 = Sbar_-1 . Sbar_1 (the lemma in the gznorm docstring):
+    # each order of the reference search, run alone, hits on the same states.
+    base = builtin_group(name)
+    positions = range(-window, window + 1)
+    hits = Counter()
+    for values in product(range(len(base)), repeat=len(positions)):
+        h = LampElem.make(base, dict(zip(positions, values)), 0, window)
+        minus_plus = reference_pm_cyclic_exhaustive(h, ("-+",)) is not None
+        plus_minus = reference_pm_cyclic_exhaustive(h, ("+-",)) is not None
+        assert minus_plus == plus_minus
+        hits[minus_plus] += 1
+    assert hits[False] and hits[True]
+
+
+# (base, window, seeded sample size); None takes every full-support state
+KERNEL_GEODESIC_STATES = [("S3", 1, None), ("A4", 1, None), ("A5", 1, 300)]
+
+
+@pytest.mark.parametrize(
+    "name, window, samples",
+    KERNEL_GEODESIC_STATES,
+    ids=[f"{name}w{window}" for name, window, _ in KERNEL_GEODESIC_STATES],
+)
+def test_kernel_path_geodesics(name, window, samples):
+    # full-support shift-0 torsion: norm and geodesic both go through the
+    # cyclic factor search
+    base = builtin_group(name)
+    positions = range(-window, window + 1)
+    if samples is None:
+        rows = product(range(1, len(base)), repeat=len(positions))
+    else:
+        rng = random.Random(f"kernel geodesics {name}w{window}")
+        rows = (
+            [rng.randrange(1, len(base)) for _ in positions] for _ in range(samples)
+        )
+    lengths = Counter()
+    for values in rows:
+        g = LampElem.make(base, dict(zip(positions, values)), 0, window)
+        geo = geodesic(g)
+        assert len(geo) == norm_truncated(g)
+        assert check_geodesic(geo)
+        lengths[len(geo)] += 1
+    assert lengths[2] and lengths[3]
+    if samples is None:
+        assert sum(lengths.values()) == (len(base) - 1) ** len(positions)
 
 
 def test_cyclic_search_cap_raises_before_building(a5):

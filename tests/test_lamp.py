@@ -141,6 +141,45 @@ def tuple_factor_images(base, choices):
     return plus_image, minus_image
 
 
+def _canon(n):
+    return (lambda i: i) if n is None else (lambda i: (i + n) % (2 * n + 1) - n)
+
+
+def reference_mul(x, y):
+    """The semidirect law pointwise, (x.y)_i = x_i . y_(i + shift(x)),
+    through the checked constructor ``make``."""
+    base, k, canon = x.base, x.shift, _canon(x.window)
+    idxs = {i for i, _ in x.support} | {canon(j - k) for j, _ in y.support}
+    support = {i: base.mul(x.value_at(i), y.value_at(i + k)) for i in idxs}
+    return LampElem.make(base, support, k + y.shift, x.window)
+
+
+def reference_inverse(x):
+    canon = _canon(x.window)
+    support = {canon(j + x.shift): x.base.inv(v) for j, v in x.support}
+    return LampElem.make(x.base, support, -x.shift, x.window)
+
+
+def reference_alpha(x, k):
+    return LampElem.make(x.base, {i - k: v for i, v in x.support}, 0, x.window)
+
+
+@pytest.mark.parametrize("window", [None, 1, 2, 3])
+def test_direct_arithmetic_matches_make(s3, a5, window):
+    # mul, inverse and alpha build canonical results without make; the
+    # references go through make, and truncated shift sums wrap
+    rng = random.Random(f"direct arithmetic {window}")
+    for base in (s3, a5):
+        for _ in range(300):
+            x = rand_elem(rng, base, max_w=7, max_shift=7, window=window)
+            y = rand_elem(rng, base, max_w=7, max_shift=7, window=window)
+            assert x.mul(y) == reference_mul(x, y)
+            assert x.inverse() == reference_inverse(x)
+            torsion = LampElem.make(base, dict(x.support), 0, window)
+            k = rng.randint(-9, 9)
+            assert torsion.alpha(k) == reference_alpha(torsion, k)
+
+
 @pytest.mark.parametrize("group_name", ["S3", "A5"])
 def test_telescoping_equals_existential_definition(group_name, s3, a5):
     base = {"S3": s3, "A5": a5}[group_name]

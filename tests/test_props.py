@@ -186,8 +186,8 @@ def test_xi_conjugation_invariant_in_each_argument(a5):
 
 
 def test_s3_class_reduction_matches_raw(s3, a4):
-    assert check_S3(s3).holds == check_S3(s3, raw=True).holds
-    assert check_S3(a4).holds == check_S3(a4, raw=True).holds
+    assert check_S3(s3).holds == props._check_S3_raw(s3).holds
+    assert check_S3(a4).holds == props._check_S3_raw(a4).holds
 
 
 def test_s4_witness(a5):
