@@ -5,13 +5,15 @@ States are mixed-radix integers: base-group digits per window position (index
 truncation indexes a dense array.  All batch products go through one kernel
 that re-encodes the digits of one shift class at a time.
 
-The conjugacy-closed generating set S-bar is a union of conjugacy classes, so
-every ball around the identity is one too.  Each state carries a class label
-(the least code in its class, found by label propagation under conjugation by
-the standard generators), and the level-synchronized BFS runs on classes: a
-level multiplies one representative per frontier class by all of S-bar and
-reads each state's distance back through its label.  Distance labels are
-convention-free, so runs are deterministic.
+The conjugacy-closed generating set S-bar is a union of conjugacy classes
+(checked before use), so every ball around the identity is one too.  Each
+state carries a class label, the least code in its class.  The class step: for
+X a union of classes, X . S-bar is the union of the classes met by r . S-bar
+for one representative r per class of X, as x = y^-1 r y gives x . S-bar =
+y^-1 (r . S-bar) y.  The BFS takes one class step per level and reads each
+state's distance back through its label; ``SbarContext.ball2`` is one class
+step from S-bar.  Distance labels are convention-free, so runs are
+deterministic.
 
 The large-table validators are exact reformulations sized for millions of
 states:
@@ -171,36 +173,37 @@ class TruncatedGroup:
         """int32: for each state, the least code in its conjugacy class.
 
         Min-label propagation with pointer jumping under conjugation by the
-        standard generators, one shift residue at a time (conjugation keeps
-        the shift, so no class spans two residues).  A label is always a code
-        of the state's own class and at most the state; at the fixed point it
-        is constant along every conjugation, hence the class minimum.
+        standard generators, per shift residue (conjugation keeps the shift)
+        and BLOCK_ROWS codes at a time.  A label is always a code of the
+        state's own class and at most the state.  Forward pulls suffice: once
+        a round changes nothing, lab[x] <= lab[p(x)] for each conjugation p,
+        and p has finite order, so lab is constant on its cycles, hence on
+        the class, where it can only be the minimum.
         """
         w = self.code.width
         if len(self) > np.iinfo(np.int32).max:
             raise CapExceededError(f"{len(self)} states do not fit int32 labels")
         ys = [self.encode(y) for y in standard_generators(self)]
         labels = np.empty(len(self), dtype=np.int32)
+        size = len(self) // w
+        # conjugation by each y, as a permutation of the indices code // w
+        perms = [np.empty(size, dtype=np.int32) for _ in ys]
         for k in range(w):
-            codes = np.arange(k, len(self), w, dtype=np.int64)
-            # conjugation by each y, as a permutation of the indices code // w
-            perms = [np.empty(codes.size, dtype=np.int32) for _ in ys]
-            for pos, i, conj in _conjugates(self, codes, ys):
-                perms[i][pos] = conj // w
-            lab = np.arange(len(self) // w, dtype=np.int32)
-            for perm in list(perms):  # pull along each conjugation and its inverse
-                inverse = np.empty_like(perm)
-                inverse[perm] = lab
-                perms.append(inverse)
-            while True:
-                before = lab.copy()
+            for start in range(0, size, BLOCK_ROWS):
+                index = np.arange(start, min(start + BLOCK_ROWS, size), dtype=np.int64)
+                for pos, i, conj in _conjugates(self, index * w + k, ys):
+                    perms[i][start + pos] = conj // w
+            lab = np.arange(size, dtype=np.int32)
+            changed = True
+            while changed:
+                changed = False
                 for perm in perms:
-                    np.minimum(lab, lab[perm], out=lab)
+                    pulled = lab[perm]
+                    changed |= bool((pulled < lab).any())
+                    np.minimum(lab, pulled, out=lab)
                 jumped = lab[lab]
                 while not np.array_equal(jumped, lab):
                     lab, jumped = jumped, jumped[jumped]
-                if np.array_equal(lab, before):
-                    break
             labels[k::w] = lab * w + k
         return labels
 
@@ -214,7 +217,7 @@ class TruncatedGroup:
 #   x^-1       lut_j = inv,                         offset -k
 #   y^-1 x y   lut_j = the two lookups composed,    offset kappa of y^-1
 
-BLOCK_ROWS = 1 << 18
+BLOCK_ROWS = 1 << 14
 
 
 def _shift_blocks(group: TruncatedGroup, codes: np.ndarray):
@@ -266,19 +269,6 @@ def _right_products(
     rotation = [(j + k) % w for j in range(w)]
     for svec, m in zip(svecs, shifts):
         yield _encode(group, digits, [rows[svec[r]] for r in rotation], 0, k + m)
-
-
-def _mark_products(
-    group: TruncatedGroup,
-    blocks,
-    svecs: Sequence[Sequence[int]],
-    shifts: Sequence[int],
-    mask: np.ndarray,
-) -> None:
-    """Set mask at x * s for every state x in ``blocks`` and every s."""
-    for _, k, digits in blocks:
-        for prods in _right_products(group, k, digits, svecs, shifts):
-            mask[prods] = True
 
 
 def _times(group: TruncatedGroup, blocks, code: int):
@@ -397,12 +387,28 @@ class BfsResult:
         }
 
 
-def _prep_generators(
-    group: TruncatedGroup, gens: Sequence[LampElem]
-) -> tuple[list[list[int]], list[int]]:
-    n = group.window
-    rows = [[s.value_at(i) for i in range(-n, n + 1)] for s in gens]
-    return rows, [s.shift for s in gens]
+def _sbar_classes(group: TruncatedGroup, gen_codes: np.ndarray) -> np.ndarray:
+    """Mask over codes, set at the class label of every generator; raises
+    RuntimeError unless the generators form a union of conjugacy classes."""
+    labels = group.class_labels
+    in_sbar = np.zeros(len(group), dtype=bool)
+    in_sbar[gen_codes] = True
+    marks = np.zeros(len(group), dtype=bool)
+    marks[labels[gen_codes]] = True
+    if not np.array_equal(marks[labels], in_sbar):
+        raise RuntimeError("the generating set is not a union of conjugacy classes")
+    return marks
+
+
+def _class_step(
+    group: TruncatedGroup, gen_blocks, reps: Sequence[int], marks: np.ndarray
+) -> None:
+    """Set marks at the class label of every state of r . S-bar, for each
+    class representative r in ``reps``."""
+    labels = group.class_labels
+    for rep in reps:
+        for _, prods in _times(group, gen_blocks, rep):
+            marks[labels[prods]] = True
 
 
 def bfs_norms(
@@ -413,11 +419,9 @@ def bfs_norms(
 ) -> BfsResult:
     """Exact distances from the identity over the conjugacy-closed generators.
 
-    Level-synchronized over conjugacy classes.  S-bar is checked to be a union
-    of classes, so every layer is one too, and the classes that layer_m . S-bar
-    meets are those that S-bar . r meets (= r . S-bar, as S-bar is closed
-    under conjugation by r) for one representative r per class of layer_m.
-    Each state's distance is its class's.  Raises RuntimeError if S-bar is
+    Level-synchronized over conjugacy classes, one class step (see the module
+    docstring) per level from the representatives of the last layer.  Each
+    state's distance is its class's.  Raises RuntimeError if S-bar is
     not a union of classes, if a level would reach the UNREACHED sentinel, or
     if states stay unreached.
     """
@@ -425,26 +429,15 @@ def bfs_norms(
     group = TruncatedGroup(base, window, state_cap)
     gens = enumerate_Sbar(base, window, gen_cap)
     gen_codes = np.array([group.encode(s) for s in gens], dtype=np.int64)
-    labels = group.class_labels
-    order = len(group)
-
-    in_sbar = np.zeros(order, dtype=bool)
-    in_sbar[gen_codes] = True
-    sbar_classes = np.zeros(order, dtype=bool)
-    sbar_classes[labels[gen_codes]] = True
-    if not np.array_equal(sbar_classes[labels], in_sbar):
-        raise RuntimeError("the generating set is not a union of conjugacy classes")
-
+    _sbar_classes(group, gen_codes)
     gen_blocks = list(_shift_blocks(group, gen_codes))
-    class_dist = np.full(order, UNREACHED, dtype=np.uint8)  # set at representatives
+    class_dist = np.full(len(group), UNREACHED, dtype=np.uint8)  # at representatives
     class_dist[0] = 0
     frontier = [0]
     level = 0
     while frontier:
-        reached = np.zeros(order, dtype=bool)
-        for rep in frontier:
-            for _, prods in _times(group, gen_blocks, rep):
-                reached[labels[prods]] = True
+        reached = np.zeros(len(group), dtype=bool)
+        _class_step(group, gen_blocks, frontier, reached)
         new = np.flatnonzero(reached & (class_dist == UNREACHED))
         if new.size == 0:
             break
@@ -456,7 +449,7 @@ def bfs_norms(
         class_dist[new] = level
         frontier = new.tolist()
 
-    distances = class_dist[labels]
+    distances = class_dist[group.class_labels]
     missing = int(np.count_nonzero(distances == UNREACHED))
     if missing:
         raise RuntimeError(
@@ -511,12 +504,10 @@ def set_power_norms(
 class SbarContext:
     """Cached generator codes and small balls for bounded-norm queries."""
 
-    def __init__(self, group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP):
+    def __init__(self, group: TruncatedGroup):
         self.group = group
-        self.gen_elems = enumerate_Sbar(group.base, group.window, gen_cap)
-        self.gen_codes = np.array(
-            sorted(group.encode(s) for s in self.gen_elems), dtype=np.int64
-        )
+        gens = enumerate_Sbar(group.base, group.window)
+        self.gen_codes = np.array(sorted(group.encode(s) for s in gens), dtype=np.int64)
         self._gen_blocks = list(_shift_blocks(group, self.gen_codes))
 
     @cached_property
@@ -528,10 +519,11 @@ class SbarContext:
 
     @cached_property
     def ball2(self) -> np.ndarray:
-        mask = self.ball1.copy()
-        gvecs, gshifts = _prep_generators(self.group, self.gen_elems)
-        _mark_products(self.group, self._gen_blocks, gvecs, gshifts, mask)
-        return mask
+        """S-bar and S-bar . S-bar (the identity is s . s^-1): one class step
+        (see the module docstring) from the classes of S-bar."""
+        marks = _sbar_classes(self.group, self.gen_codes)
+        _class_step(self.group, self._gen_blocks, np.flatnonzero(marks).tolist(), marks)
+        return marks[self.group.class_labels]
 
     def probes(self, code: int) -> np.ndarray:
         """Codes of s^-1 * g over all generators s (the generator set is

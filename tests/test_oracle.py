@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import random
+import tracemalloc
 from itertools import product as iter_product
 
 import numpy as np
@@ -123,6 +124,7 @@ def test_bfs_chunk_independence(s3, s3_bfs, monkeypatch):
         again = bfs_norms(s3, 1)
         assert (again.distances == s3_bfs.distances).all()
         assert again.layer_sizes == s3_bfs.layer_sizes
+        assert (again.group.class_labels == s3_bfs.group.class_labels).all()
 
 
 def test_validators_s3(s3_bfs):
@@ -187,6 +189,19 @@ def test_standard_generators_generate(s3, s3_bfs):
     assert (bfs_norms(listed, 1).distances == s3_bfs.distances).all()
 
 
+def _prep_generators(group, gens):
+    n = group.window
+    rows = [[s.value_at(i) for i in range(-n, n + 1)] for s in gens]
+    return rows, [s.shift for s in gens]
+
+
+def _mark_products(group, blocks, svecs, shifts, mask):
+    """Set mask at x * s for every state x in ``blocks`` and every s."""
+    for _, k, digits in blocks:
+        for prods in oracle._right_products(group, k, digits, svecs, shifts):
+            mask[prods] = True
+
+
 def _dense_bfs_reference(base, window):
     """The dense BFS that preceded the class quotient, kept as a reference.
 
@@ -194,7 +209,7 @@ def _dense_bfs_reference(base, window):
     probes the unvisited states backward, whichever set is smaller.
     """
     group = TruncatedGroup(base, window)
-    gvecs, gshifts = oracle._prep_generators(group, enumerate_Sbar(base, window))
+    gvecs, gshifts = _prep_generators(group, enumerate_Sbar(base, window))
     order = len(group)
     distances = np.full(order, 255, dtype=np.uint8)
     visited = np.zeros(order, dtype=bool)
@@ -211,7 +226,7 @@ def _dense_bfs_reference(base, window):
         if frontier.size <= unvisited.size:
             reached = np.zeros(order, dtype=bool)
             blocks = oracle._shift_blocks(group, frontier)
-            oracle._mark_products(group, blocks, gvecs, gshifts, reached)
+            _mark_products(group, blocks, gvecs, gshifts, reached)
             new = np.flatnonzero(reached & ~visited)
         else:
             hit = np.zeros(unvisited.size, dtype=bool)
@@ -258,6 +273,47 @@ def test_class_labels_are_class_minima(s3_bfs):
     for _ in range(40):
         x, y = rng.randrange(len(group)), rng.randrange(len(group))
         assert labels[group.conj(x, y)] == labels[x]
+
+
+@pytest.mark.parametrize(
+    "name,window", [("s3", 1), ("a4", 1), ("s4", 1), ("s3", 2), ("a5", 1)]
+)
+def test_ball2_matches_state_level_products(request, name, window):
+    # every product s . s' of two generators, formed state by state
+    base = request.getfixturevalue(name)
+    group = TruncatedGroup(base, window)
+    gens = enumerate_Sbar(base, window)
+    gvecs, gshifts = _prep_generators(group, gens)
+    ctx = SbarContext(group)
+    expected = ctx.ball1.copy()
+    blocks = oracle._shift_blocks(group, ctx.gen_codes)
+    _mark_products(group, blocks, gvecs, gshifts, expected)
+    assert ctx.ball2.tobytes() == expected.tobytes()
+
+
+# sha256 of class_labels.tobytes(), taken before the labels were built blockwise
+CLASS_LABELS_SHA256 = {
+    ("s3", 2): "fc0ad7293253a1e93b6c88185f70fb18df5d7b588e09959d54c82a787bea9a52",
+    ("a5", 1): "acabb870880e63452fc18e6fe17fac199b2e939b501d47e45ffc53b42093758d",
+}
+
+
+@pytest.mark.parametrize("name,window", sorted(CLASS_LABELS_SHA256))
+def test_class_labels_pinned(request, name, window):
+    labels = TruncatedGroup(request.getfixturevalue(name), window).class_labels
+    digest = hashlib.sha256(labels.tobytes()).hexdigest()
+    assert digest == CLASS_LABELS_SHA256[name, window]
+
+
+def test_class_labels_peak_memory(a5):
+    group = TruncatedGroup(a5, 1)
+    tracemalloc.start()
+    try:
+        group.class_labels
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
 
 
 def test_bfs_guards_the_unreached_sentinel(s3, monkeypatch):
