@@ -11,8 +11,7 @@ computed on first use and cached on the group itself.  Each group has exactly
 one conjugacy-class table, ``FiniteGroup.conj_classes``: ``conjugacy_classes``
 returns it, ``class_product`` memoizes on it, and ``normal_closure`` and
 ``is_normal`` read it.  The S1-S4 reports of ``props`` are cached on the group
-the same way, and so are the factor tables of ``gznorm``'s cyclic search, so
-nothing here is keyed on ``id()``.
+the same way, so nothing here is keyed on ``id()``.
 """
 
 from __future__ import annotations
@@ -159,12 +158,6 @@ class FiniteGroup:
     @cached_property
     def _statement_reports(self) -> dict:
         """S-statement name -> its ``props.PropReport``, filled on demand."""
-        return {}
-
-    @cached_property
-    def _cyclic_factor_tables(self) -> dict:
-        """Window width -> the factor tables of ``gznorm``'s cyclic search,
-        filled on demand."""
         return {}
 
 

@@ -27,11 +27,8 @@ The weight-3 test uses the resolved argument order of xi
 size >= 7 with a base satisfying S1-S4 run in "theory" mode, mirroring the
 window margins of the almost-homomorphism construction; smaller windows run in
 "oracle" mode where the value is advisory and breadth-first search over the
-actual Cayley graph is authoritative.  Full-support torsion in oracle mode is
-decided by exhaustive search over factor pairs, one numpy kernel that returns
-the first hit in ``itertools.product`` order and refuses more than
-``PM_SEARCH_CAP`` free choices; its factor tables are cached per window width
-on the base group.
+actual Cayley graph is authoritative.  In both modes the shift-0 row is decided
+by the class walk below, for every support, full or with a gap.
 
 One sign order suffices for that search.  Write Sbar_k for the members of
 the generating set with shift k; on a truncation Sbar_1 = T+, Sbar_-1 = T-.
@@ -50,15 +47,35 @@ factors u.t^-1 and alpha(v).t.
 with a in Sbar_1 and b in Sbar_-1, then h = b.(b^-1 a b) with b^-1 a b in
 Sbar_1, and if h = b.a, then h = (b a b^-1).b.  So the two products are one
 set, and a "+-" search would hit on exactly the same states.
+
+The "-+" search needs no enumeration of its |P|^(2n) free choices: its state
+is one group element, and the conjugacy classes of P decide where it can go.
+
+Lemma (class walk).  Number the positions -n..n as 0..w-1, write K(x) for the
+class of x, dec_j = u_(j-1) ... u_0, inc_j = v_0 ... v_(j-1) and
+p_j = inc_j . dec_j, and let N_(w-1) = {1} and N_j = K(h_j^-1) . N_(j+1).
+From step j on, the search can still hit iff p_j . h_n lies in N_j.  So it
+hits at all iff h_n lies in N_0, that is iff 1 lies in K(h_-n) ... K(h_n).
+
+Proof.  The closing digit gives v_(w-1) = dec_(w-1) . h_n, so the search hits
+iff p_(w-1) = h_n^-1.  Choosing u_j gives
+p_(j+1) = (inc_j . u_j^-1 h_j u_j . inc_j^-1) . p_j, and as u_j runs over P
+this covers all of K(h_j) . p_j, whatever inc_j is.  So from p_j the reachable
+p_(w-1) form K(h_(w-2)) ... K(h_j) . p_j, which contains h_n^-1 iff
+p_j . h_n lies in K(h_j^-1) ... K(h_(w-2)^-1) = N_j.  Each N_j is a union of
+classes, built backward from class products.
+
+Taking at each step the least u_j whose p_(j+1) stays feasible therefore
+yields the lexicographically least hit: the first hit in
+``itertools.product`` order over the free digits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .commutators import (
     RESOLVED_XI_VARIANT,  # re-exported: the recorded xi decision
@@ -70,12 +87,10 @@ from .commutators import (
     factor_plus,
     is_pm_commutator,
 )
-from .groups import CapExceededError, FiniteGroup
+from .groups import class_product
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
 from .norms import fmt_fraction
-from .props import require_statements, satisfies_s_conditions, statement_holds
-
-PM_SEARCH_CAP = 2_000_000
+from .props import require_statements, satisfies_s_conditions
 
 
 def _torsion(g: LampElem) -> LampElem:
@@ -125,90 +140,72 @@ def norm_truncated(g: LampElem, mode: str = "auto") -> int:
 
 
 def pm_commutator_truncated(h: LampElem) -> bool:
-    """Mixed-commutator test with cyclic index arithmetic.
-
-    With a gap in the support the circle can be cut there and the acyclic
-    decision applies (the class-product predicate is invariant under cyclic
-    rotation of its arguments, so the cut position does not matter).  Weight
-    >= 4 over an S3 base is always yes, gap or not.  Everything else (full
-    support of weight <= 3, weight >= 4 without S3) is decided by
-    :func:`_pm_cyclic_exhaustive`, the numpy kernel over all factor pairs,
-    which raises ``CapExceededError`` when its |P|^(2n) free choices exceed
-    ``PM_SEARCH_CAP``.
-    """
+    """Mixed-commutator test with cyclic index arithmetic: whether h_n lies in
+    N_0 of the class walk (module docstring), for any support."""
     if h.window is None or h.shift != 0:
         raise ValueError("expects a shift-0 truncated element")
-    w = h.weight()
-    gap = w < 2 * h.window + 1
-    if (gap and w <= 3) or (w >= 4 and statement_holds(h.base, "S3")):
-        return is_pm_commutator(h)
-    return _pm_cyclic_exhaustive(h) is not None
+    values, feasible = _feasible_classes(h)
+    return h.base.conj_classes.class_of[values[-1]] in feasible[0]
 
 
-def _closed_factors(
-    base: FiniteGroup, width: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(mul, inv, digits, closing): every factor u of the cyclic search.
-
-    Row j of ``digits`` is u at index j - n: entry r holds base-|P| digit j
-    of r, most significant first, so entries run in ``itertools.product``
-    order.  ``closing`` is u at index n, the inverse of the decreasing
-    product of the digits.  All arrays, the group tables included, use the
-    smallest unsigned dtype that holds |P| - 1.  Built once per width and
-    cached on the group: for |P| <= 256, |P|^(width-1) * width bytes, so at
-    most 2,000,000 * width under ``PM_SEARCH_CAP`` (15.1 MB for S3 at
-    window 4).
-    """
-    tables = base._cyclic_factor_tables
-    if width not in tables:
-        b, k = len(base), width - 1
-        dtype = np.min_scalar_type(b - 1)
-        mul = np.asarray(base._mul_table, dtype=dtype)
-        inv = np.asarray(base._inv_table, dtype=dtype)
-        values = np.arange(b, dtype=dtype)
-        digits = np.stack(
-            [np.tile(np.repeat(values, b ** (k - 1 - j)), b**j) for j in range(k)]
-        )
-        dec = digits[0]
-        for col in digits[1:]:
-            dec = mul[col, dec]
-        tables[width] = mul, inv, digits, inv[dec]
-    return tables[width]
+def _feasible_classes(h: LampElem) -> tuple[list[int], list[frozenset[int]]]:
+    """(h_-n..h_n, [N_0, ..., N_(w-1)]): the values of h in window order and the
+    class ids of the feasible sets of the class walk, built backward."""
+    base = h.base
+    table = base.conj_classes
+    reps = table.representatives()
+    n = h.window
+    given = dict(h.support)
+    values = [given.get(i, base.identity_index) for i in range(-n, n + 1)]
+    every = frozenset(range(len(reps)))
+    feasible = [frozenset((table.class_of[base.identity_index],))]
+    for value in reversed(values[:-1]):
+        after = feasible[-1]
+        # K(1) . N = N, and N = P stays P
+        if value != base.identity_index and after != every:
+            k = table.class_of[base.inv(value)]
+            reach = set().union(*(class_product(base, k, c) for c in after))
+            after = frozenset(c for c, r in enumerate(reps) if r in reach)
+        feasible.append(after)
+    feasible.reverse()
+    return values, feasible
 
 
 def _pm_cyclic_exhaustive(h: LampElem) -> tuple[LampElem, LampElem] | None:
     """Search factor pairs u, v with h = u.v pointwise ("-+" order).
 
     The decreasing cyclic product of u and the increasing cyclic product of
-    v must vanish.  Fixing u at -n..n-1 determines u at n (see
-    :func:`_closed_factors`) and v_i = u_i^-1 h_i, so one numpy fold over all
-    |P|^(2n) choices decides the search; by the lemma in the module docstring
-    the "+-" order hits on the same states.  Returns (u, v) for the first hit
-    in ``itertools.product`` order over the free digits, or None.  Raises
-    ``CapExceededError`` before allocating anything when |P|^(2n) exceeds
-    ``PM_SEARCH_CAP``.
+    v must vanish; by the sign-order lemma the "+-" order hits on the same
+    states.  The class walk of the module docstring takes, at each free
+    position, the least u_j that keeps p_(j+1) . h_n in N_(j+1), and closes u
+    at n.  Returns (u, v) for the first hit in ``itertools.product`` order
+    over the free digits, or None.
     """
     base = h.base
-    n = h.window
-    assert n is not None
-    width = 2 * n + 1
-    total = len(base) ** (width - 1)
-    if total > PM_SEARCH_CAP:
-        raise CapExceededError(f"cyclic factor search would visit {total} states")
-    mul, inv, digits, closing = _closed_factors(base, width)
-    positions = list(range(-n, n + 1))
-    u_cols = [*digits, closing]
-    v_cols = [mul[inv, h.value_at(i)][col] for i, col in zip(positions, u_cols)]
-    acc = v_cols[0]
-    for col in v_cols[1:]:
-        acc = mul[acc, col]
-    hits = np.flatnonzero(acc == base.identity_index)
-    if not hits.size:
+    class_of = base.conj_classes.class_of
+    mul, inv = base._mul_table, base._inv_table
+    values, feasible = _feasible_classes(h)
+    last = values[-1]
+    if class_of[last] not in feasible[0]:
         return None
-    r = hits[0]
+    inc = dec = base.identity_index
+    u_vals, v_vals = [], []
+    for value, allowed in zip(values, feasible[1:]):
+        # p_j is feasible, so some u_j keeps p_(j+1) feasible
+        for u in range(len(base)):
+            v = mul[inv[u]][value]
+            nxt_inc, nxt_dec = mul[inc][v], mul[u][dec]
+            if class_of[mul[mul[nxt_inc][nxt_dec]][last]] in allowed:
+                break
+        u_vals.append(u)
+        v_vals.append(v)
+        inc, dec = nxt_inc, nxt_dec
+    u_vals.append(inv[dec])
+    v_vals.append(mul[dec][last])
+    n = h.window
     u, v = (
-        LampElem.make(base, {i: int(col[r]) for i, col in zip(positions, cols)}, 0, n)
-        for cols in (u_cols, v_cols)
+        LampElem.make(base, dict(zip(range(-n, n + 1), vals)), 0, n)
+        for vals in (u_vals, v_vals)
     )
     return u, v
 
@@ -251,9 +248,19 @@ def geodesic(g: LampElem) -> Geodesic:
             u, v = _pm_witness_factors(torsion)
             return Geodesic(g, (u.mul(t_inv), v.alpha(1).mul(t)))
         if w > 3:
-            raise ValueError(
-                "no length-3 factorization for a non-mixed element of weight > 3"
-            )
+            # Norm 3 at shift 0 takes factor shifts (0, 0, 0) or (0, +1, -1) up
+            # to order, and conjugation closure moves the single to the front,
+            # so s^-1 . g is mixed for some single s.  Only truncations get
+            # here: over an S3 base weight > 3 is always mixed.
+            for i, value in product(range(-window, window + 1), range(len(base))):
+                if value == base.identity_index:
+                    continue
+                s = LampElem.single(base, i, value, window)
+                found = _pm_cyclic_exhaustive(s.inverse().mul(torsion))
+                if found is not None:
+                    u, v = found
+                    return Geodesic(g, (s, u.mul(t_inv), v.alpha(1).mul(t)))
+            raise ValueError("no length-3 factorization through a single")
         singles = (LampElem.single(base, i, v, window) for i, v in g.support)
         return Geodesic(g, tuple(singles))
     if m == 1:
@@ -293,24 +300,10 @@ def _pm_witness_factors(h: LampElem) -> tuple[LampElem, LampElem]:
     if h.window is None:
         g1, g2 = build_pm_commutator(h, "-+").vectors
         return factor_minus(g1), factor_plus(g2)
-    n = h.window
-    if h.weight() == 2 * n + 1:
-        found = _pm_cyclic_exhaustive(h)
-        if found is None:
-            raise SolverError("not a mixed commutator (cyclic search exhausted)")
-        return found
-    # Rotate a free position onto the window top so the acyclic construction
-    # has one spare index, build there, and rotate back.
-    free = next(q for q in range(-n, n + 1) if h.value_at(q) == h.base.identity_index)
-    r = free - n
-    rotated = h.alpha(r)
-    infinite = LampElem.make(h.base, dict(rotated.support), 0, None)
-    witness = build_pm_commutator(infinite, "-+")
-    g1, g2 = (
-        LampElem.make(h.base, dict(vec.support), 0, n).alpha(-r)
-        for vec in witness.vectors
-    )
-    return factor_minus(g1), factor_plus(g2)
+    found = _pm_cyclic_exhaustive(h)
+    if found is None:
+        raise SolverError("not a mixed commutator (cyclic search exhausted)")
+    return found
 
 
 def check_geodesic(geo: Geodesic) -> bool:

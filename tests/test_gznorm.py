@@ -9,7 +9,6 @@ from wreathnorm.acceptance import acyclic_mixed
 from wreathnorm.commutators import is_pm_commutator
 from wreathnorm.groups import CapExceededError, builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
-    PM_SEARCH_CAP,
     _pm_cyclic_exhaustive,
     case_norm,
     check_geodesic,
@@ -24,6 +23,7 @@ from wreathnorm.gznorm import (
 )
 from wreathnorm.lamp import LampElem, in_Tminus, in_Tplus
 from wreathnorm.oracle import bfs_norms
+from wreathnorm.props import satisfies_s_conditions
 
 
 def rand_elem(rng, base, max_w=5, span=4, max_shift=4, window=None):
@@ -170,6 +170,10 @@ def test_pm_truncated_full_support_cyclic_search(s3):
     assert result == (res.norm_of(yes) == 2)
 
 
+# the reference loop refuses more free choices than this
+REFERENCE_SEARCH_CAP = 2_000_000
+
+
 def reference_pm_cyclic_exhaustive(h, orders=("-+", "+-")):
     """The cyclic factor search as one Python loop over the free digits, for
     each sign order in turn; returns (order, u, v) for the first hit."""
@@ -177,7 +181,7 @@ def reference_pm_cyclic_exhaustive(h, orders=("-+", "+-")):
     n = h.window
     width = 2 * n + 1
     total = len(base) ** (width - 1)
-    if total > PM_SEARCH_CAP:
+    if total > REFERENCE_SEARCH_CAP:
         raise CapExceededError(f"cyclic factor search would visit {total} states")
     positions = list(range(-n, n + 1))
     hvals = [h.value_at(i) for i in positions]
@@ -292,14 +296,120 @@ def test_kernel_path_geodesics(name, window, samples):
         assert sum(lengths.values()) == (len(base) - 1) ** len(positions)
 
 
-def test_cyclic_search_cap_raises_before_building(a5):
-    # 60^4 = 12,960,000 free digits at window 2, above the 2,000,000 cap
-    h = LampElem.make(a5, {i: 1 for i in range(-2, 3)}, 0, window=2)
-    with pytest.raises(CapExceededError):
-        _pm_cyclic_exhaustive(h)
-    with pytest.raises(CapExceededError):
-        reference_pm_cyclic_exhaustive(h)
-    assert 5 not in a5._cyclic_factor_tables
+def test_full_support_a5_geodesics_past_the_reference_cap(a5):
+    # 60^4 and 60^6 free digits at windows 2 and 3: beyond the reference loop,
+    # so each class-walk witness is checked by multiplying the geodesic out
+    def full_support(window, rows):
+        for values in rows:
+            support = dict(zip(range(-window, window + 1), values))
+            yield LampElem.make(a5, support, 0, window)
+
+    satisfies_s_conditions(a5)
+    for g in full_support(1, [[1, 1, 1], [5, 9, 17]]):
+        assert check_geodesic(geodesic(g))
+    attributes = set(vars(a5))
+    rng = random.Random("full-support A5 past the reference cap")
+    for window in (2, 3):
+        width = 2 * window + 1
+        ones = [1] * width
+        with pytest.raises(CapExceededError):
+            reference_pm_cyclic_exhaustive(next(full_support(window, [ones])))
+        rows = [ones]
+        rows += [[rng.randrange(1, len(a5)) for _ in range(width)] for _ in range(50)]
+        for g in full_support(window, rows):
+            assert norm_truncated(g) == 2
+            geo = geodesic(g)
+            assert len(geo) == 2 and check_geodesic(geo)
+    # no table per window width is left on the group
+    assert set(vars(a5)) == attributes
+    classes = len(a5.conj_classes.classes)
+    assert len(a5.conj_classes.products) <= classes * classes
+
+
+def test_shift0_geodesics_match_bfs_s3w2(s3):
+    # every shift-0 state, gap or full support, mixed or not: a checked
+    # geodesic whose length is the BFS distance
+    res = bfs_norms(s3, 2)
+    lengths = Counter()
+    for values in product(range(len(s3)), repeat=5):
+        g = LampElem.make(s3, dict(zip(range(-2, 3), values)), 0, window=2)
+        geo = geodesic(g)
+        assert check_geodesic(geo)
+        assert len(geo) == res.norm_of(g)
+        lengths[len(geo)] += 1
+    assert sum(lengths.values()) == 7776
+    assert set(lengths) == {0, 1, 2, 3}
+
+
+# (base, window, seeded sample size) of shift-0 states, identity values included
+SAMPLED_GEODESIC_STATES = [("A4", 2, 400), ("S3", 4, 400), ("A5", 2, 200), ("A5", 3, 200)]
+
+
+@pytest.mark.parametrize(
+    "name, window, samples",
+    SAMPLED_GEODESIC_STATES,
+    ids=[f"{name}w{window}" for name, window, _ in SAMPLED_GEODESIC_STATES],
+)
+def test_shift0_geodesics_sampled(name, window, samples):
+    # Past the widths checked against BFS: the geodesic checks and has the
+    # case-table length.  On A4 w2 and S3 w4 most samples are norm 3 with
+    # weight > 3, a single followed by a mixed pair.
+    base = builtin_group(name)
+    positions = range(-window, window + 1)
+    rng = random.Random(f"shift-0 geodesics {name}w{window}")
+    shapes = Counter()
+    for _ in range(samples):
+        values = [rng.randrange(len(base)) for _ in positions]
+        g = LampElem.make(base, dict(zip(positions, values)), 0, window)
+        geo = geodesic(g)
+        assert check_geodesic(geo)
+        assert len(geo) == norm_truncated(g)
+        shapes[len(geo), g.weight() > 3] += 1
+    assert shapes[2, True]
+    if name != "A5":
+        assert shapes[3, True]
+
+
+# (base, window, seeded sample size); None takes every shift-0 state
+GAP_STATES = [("S3", 2, None), ("A4", 1, None), ("A5", 3, 3000), ("A5", 9, 3000)]
+
+
+@pytest.mark.parametrize(
+    "name, window, samples",
+    GAP_STATES,
+    ids=[f"{name}w{window}" for name, window, _ in GAP_STATES],
+)
+def test_class_walk_with_a_gap_matches_the_acyclic_test(name, window, samples):
+    # With a gap in the support the acyclic class-product test applies, and
+    # over A5 (statement S3) weight >= 4 is always mixed.
+    base = builtin_group(name)
+    positions = range(-window, window + 1)
+    if samples is None:
+        rows = product(range(len(base)), repeat=len(positions))
+    else:
+        rng = random.Random(f"gap states {name}w{window}")
+        rows = []
+        for _ in range(samples):
+            weight = rng.randint(2, len(positions) - 1)
+            chosen = set(rng.sample(positions, weight))
+            rows.append(
+                [rng.randrange(1, len(base)) if i in chosen else 0 for i in positions]
+            )
+    outcomes = Counter()
+    for values in rows:
+        h = LampElem.make(base, dict(zip(positions, values)), 0, window)
+        weight = h.weight()
+        if not 2 <= weight < len(positions):
+            continue
+        mixed = pm_commutator_truncated(h)
+        if weight <= 3:
+            assert mixed == is_pm_commutator(h)
+        else:
+            assert name == "S3" or mixed
+        outcomes[min(weight, 4), mixed] += 1
+    assert {mixed for weight, mixed in outcomes if weight <= 3} == {True, False}
+    if name == "A5":
+        assert outcomes[4, True]
 
 
 def test_oracle_mode_shift0_weight4_and_5_against_bfs(s3):
