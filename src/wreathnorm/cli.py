@@ -309,7 +309,6 @@ def main(argv=None) -> int:
         ValueError,
         OSError,
         pr.SolverError,
-        cm.TransportError,
         oc.CapExceededError,
     ) as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True))

@@ -20,6 +20,10 @@ the support to consecutive indices, which is harmless in both directions):
 * w = 3: yes iff the class-product predicate xi holds on the value triple;
 * w >= 4: always, provided the base group satisfies S3.
 
+This is the paper's rule, and :func:`is_pm_commutator` applies it.  The
+class walk below constructs every mixed witness, in infinite mode and on
+truncations alike; the acceptance gate compares its decisions with the rule.
+
 Two candidate argument conventions exist for the weight-3 test,
 xi(h1, h2, h3) ("direct") and xi(h1^-1, h2^-1, h3) ("inverted").  They agree
 on any group whose classes are closed under inversion (A5, S3) and are
@@ -27,6 +31,63 @@ separated by cyclic base groups; exhaustive small-window searches pin
 "direct" as the correct one (``RESOLVED_XI_VARIANT``).  Everything else uses
 that default; ``is_pm_commutator`` keeps its ``variant`` argument only so the
 acceptance gate can show that the inverted convention is refuted.
+
+The mixed witnesses come from one search.  Write Sbar_k for the members of
+the generating set with shift k, so Sbar_1 = T+ and Sbar_-1 = T-, and K(x)
+for the conjugacy class of x in P (for symmetric and alternating bases, the
+classes of James & Kerber, *The Representation Theory of the Symmetric Group*,
+1981, ch. 4).
+
+Lemma (sign order).  A shift-0 h lies in Sbar_1 . Sbar_-1 iff it lies in
+Sbar_-1 . Sbar_1, and the "-+" search decides the latter.
+
+Proof.  (1) x = (u, -1) is in T- iff u has vanishing decreasing product;
+y = (a, 1) is in T+ iff a has vanishing increasing product, iff
+v = alpha^-1(a) does (on a truncation both products are cyclic, and a cyclic
+rotation of a product is a conjugate of it).  As
+x.y = (u . shift^-1(a), 0) = u.v pointwise, h is in T- . T+ iff some such u
+makes v_i = u_i^-1 h_i vanish in increasing order.  The search frees u at
+every position but the last, closes u there and tests exactly that; a hit
+gives the factors u.t^-1 and alpha(v).t.
+(2) Sbar is conjugation-closed and the shift is a homomorphism: if h = a.b
+with a in Sbar_1 and b in Sbar_-1, then h = b.(b^-1 a b) with b^-1 a b in
+Sbar_1, and if h = b.a, then h = (b a b^-1).b.  So the two products are one
+set, and a "+-" search would hit on exactly the same states.
+
+The "-+" search needs no enumeration of its |P|^(w-1) free choices: its state
+is one group element, and the conjugacy classes of P decide where it can go.
+
+Lemma (class walk).  Number the search's positions 0..w-1, let h_j be the
+value of h at position j, write dec_j = u_(j-1) ... u_0,
+inc_j = v_0 ... v_(j-1) and p_j = inc_j . dec_j, and let N_(w-1) = {1} and
+N_j = K(h_j^-1) . N_(j+1).  From step j on, the search can still hit iff
+p_j . h_(w-1) lies in N_j.  So it hits at all iff h_(w-1) lies in N_0, that
+is iff 1 lies in K(h_0) ... K(h_(w-1)).
+
+Proof.  The closing digit gives v_(w-1) = dec_(w-1) . h_(w-1), so the search
+hits iff p_(w-1) = h_(w-1)^-1.  Choosing u_j gives
+p_(j+1) = (inc_j . u_j^-1 h_j u_j . inc_j^-1) . p_j, and as u_j runs over P
+this covers all of K(h_j) . p_j, whatever inc_j is.  So from p_j the
+reachable p_(w-1) form K(h_(w-2)) ... K(h_j) . p_j, which contains
+h_(w-1)^-1 iff p_j . h_(w-1) lies in K(h_j^-1) ... K(h_(w-2)^-1) = N_j.  Each
+N_j is a union of classes, built backward from class products.
+
+Taking at each step the least u_j whose p_(j+1) stays feasible therefore
+yields the lexicographically least hit: the first hit in
+``itertools.product`` order over the free digits.
+
+Where the walk runs.  On a truncation its positions are the window -n..n.  In
+infinite mode they are the support's span lo..hi, and that is exact.  Suppose
+the two factors live on some segment a..b containing lo..hi.  The walk lemma
+on a..b gives 1 in K(h_a) ... K(h_b), and this equals K(h_lo) ... K(h_hi)
+because K(1) = {1}.  Conversely, the walk on lo..hi builds factors supported
+there.  So every mixed geodesic factor stays within one step of the support,
+inside the two-step bound that ``check_geodesic`` tests.
+
+The witness vectors telescope the pair: from g1_lo = g2_lo = 1,
+g1_(i+1) = u_i . g1_i and g2_(i+1) = v_i^-1 . g2_i, so that
+u = alpha(g1) . g1^-1 and v = g2 . alpha(g2^-1).  The vanishing products make
+both vectors trivial again past hi (at -n, cyclically, on a truncation).
 """
 
 from __future__ import annotations
@@ -34,9 +95,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .groups import FiniteGroup
+from .groups import FiniteGroup, class_product
 from .lamp import LampElem
-from .props import SolverError, require_statements, solve_S1_instance, solve_S2_instance, solve_S3_instance, xi
+from .props import SolverError, require_statements, solve_S1_instance, solve_S2_instance, xi
 
 XI_VARIANTS = ("direct", "inverted")
 RESOLVED_XI_VARIANT = "direct"
@@ -331,10 +392,11 @@ def reverse_element(x: LampElem, about: int = 0) -> LampElem:
 def build_pm_commutator(h: LampElem, order: PmOrder = "-+") -> CommWitness:
     """Construct a verifying mixed witness; raises SolverError when h has none.
 
-    All construction happens on the compressed support 1..w and is transported
-    back, so the emitted vectors live within one step of the support of h.
-    Only the "-+" order is built directly; "+-" comes from index reversal,
-    which exchanges the factor shapes.
+    The class walk gives the factor pair (u, v) and the witness vectors
+    telescope it (module docstring), so they live within the walk's span:
+    the window, or the support's span in infinite mode.  Only the "-+" order
+    is built directly; "+-" comes from index reversal, which exchanges the
+    factor shapes.
     """
     if order == "+-":
         w = build_pm_commutator(reverse_element(h, 0), "-+")
@@ -344,107 +406,88 @@ def build_pm_commutator(h: LampElem, order: PmOrder = "-+") -> CommWitness:
         )
     if order != "-+":
         raise ValueError("order must be '+-' or '-+'")
+    found = _pm_cyclic_exhaustive(h)
+    if found is None:
+        raise SolverError(
+            "not a mixed commutator: the class product of its values misses 1"
+        )
+    base = h.base
+    ident = base.identity_index
+    u, v = (dict(x.support) for x in found)
+    g1: dict[int, int] = {}
+    g2: dict[int, int] = {}
+    a = b = ident
+    for i in _walk_span(h)[:-1]:
+        # g1_(i+1) = u_i . g1_i  and  g2_(i+1) = v_i^-1 . g2_i
+        a = base.mul(u.get(i, ident), a)
+        b = base.mul(base.inv(v.get(i, ident)), b)
+        g1[i + 1], g2[i + 1] = a, b
+    vectors = (LampElem.make(base, g, 0, h.window) for g in (g1, g2))
+    return CommWitness(("pm", "-+"), tuple(vectors))
+
+
+def _walk_span(h: LampElem) -> range:
+    """Positions of the class walk: the window, or the support's span."""
+    if h.window is not None:
+        return range(-h.window, h.window + 1)
+    if not h.support:
+        return range(0, 1)
+    return range(h.support[0][0], h.support[-1][0] + 1)
+
+
+def _pm_cyclic_exhaustive(h: LampElem) -> tuple[LampElem, LampElem] | None:
+    """The class walk: a factor pair (u, v) with h = u.v pointwise, or None.
+
+    u has vanishing decreasing product and v vanishing increasing product over
+    the walk's span, cyclically on a truncation.  The feasible sets N_j are
+    built backward as sets of class ids; the forward pass takes, at each free
+    position, the least u_j that keeps p_(j+1) . h_last in N_(j+1), and closes
+    u at the last position.  So (u, v) is the first hit in
+    ``itertools.product`` order over the free digits.
+    """
     if h.shift != 0:
         raise ValueError("mixed commutators have shift 0")
     base = h.base
-    indices = list(h.support_indices())
-    values = list(h.support_values())
-    w = len(values)
-    if w == 0:
-        ident = LampElem.identity(base, h.window)
-        return CommWitness(("pm", "-+"), (ident, ident))
-    if w == 1:
-        raise SolverError("single supports are never mixed commutators")
-    compact = list(range(1, w + 1))
-    witness = _build_pm_compressed(base, values, h.window)
-    if indices != compact:
-        witness = transport(witness, compact, indices)
-    return witness
-
-
-def _build_pm_compressed(
-    base: FiniteGroup, values: Sequence[int], window: int | None
-) -> CommWitness:
-    if len(values) == 2:
-        v1, v2 = values
-        c = base.first_conjugator(base.inv(v1), v2)
-        if c is None:
-            raise SolverError("weight-2 instance fails the conjugacy condition")
-        g1 = LampElem.make(base, {2: base.mul(v1, c)}, 0, window)
-        g2 = LampElem.make(base, {2: c}, 0, window)
-        return CommWitness(("pm", "-+"), (g1, g2))
-    if len(values) == 3:
-        return _build_pm_weight3(base, values, window)
-    return _build_pm_weight4plus(base, values, window)
-
-
-def _build_pm_weight3(
-    base: FiniteGroup, values: Sequence[int], window: int | None
-) -> CommWitness:
-    v1, v2, v3 = values
-    iv1, iv2 = base.inv(v1), base.inv(v2)
-    solution = None
-    for x in range(len(base)):
-        target = base.mul(base.inv(base.conj(iv2, x)), v3)
-        y = base.first_conjugator(iv1, target)
-        if y is not None:
-            solution = (x, y)
-            break
-    if solution is None:
-        raise SolverError("weight-3 instance fails the class-product condition")
-    x, y = solution
-    a, b = y, x
-    c = base.mul(iv1, a)
-    d = base.mul_many((iv2, b, base.inv(a), iv1, a))
-    g1 = LampElem.make(base, {2: a, 3: b}, 0, window)
-    g2 = LampElem.make(base, {2: c, 3: d}, 0, window)
-    return CommWitness(("pm", "-+"), (g1, g2))
-
-
-def _build_pm_weight4plus(
-    base: FiniteGroup, values: Sequence[int], window: int | None
-) -> CommWitness:
-    require_statements(base, ("S3",))
-    n = len(values)
+    table = base.conj_classes
+    class_of, reps = table.class_of, table.representatives()
+    mul, inv = base._mul_table, base._inv_table
     ident = base.identity_index
-    if any(v == ident for v in values):
-        raise ValueError("compressed support values must be non-trivial")
-    target = values[-1]
-    picks: dict[int, int] = {}
-    for m in range(n, 4, -1):
-        chosen = None
-        for a in range(len(base)):
-            nxt = base.mul(base.conj(values[m - 2], a), target)
-            if nxt != ident:
-                chosen = (a, nxt)
+    positions = _walk_span(h)
+    given = dict(h.support)
+    values = [given.get(i, ident) for i in positions]
+    every = frozenset(range(len(reps)))
+    feasible = [frozenset((class_of[ident],))]
+    for value in reversed(values[:-1]):
+        after = feasible[-1]
+        # K(1) . N = N, and N = P stays P
+        if value != ident and after != every:
+            k = class_of[inv[value]]
+            reach = set().union(*(class_product(base, k, c) for c in after))
+            after = frozenset(c for c, r in enumerate(reps) if r in reach)
+        feasible.append(after)
+    feasible.reverse()
+    last = values[-1]
+    if class_of[last] not in feasible[0]:
+        return None
+    inc = dec = ident
+    u_vals, v_vals = [], []
+    for value, allowed in zip(values, feasible[1:]):
+        # p_j is feasible, so some u_j keeps p_(j+1) feasible
+        for u in range(len(base)):
+            v = mul[inv[u]][value]
+            nxt_inc, nxt_dec = mul[inc][v], mul[u][dec]
+            if class_of[mul[mul[nxt_inc][nxt_dec]][last]] in allowed:
                 break
-        if chosen is None:
-            raise SolverError("cannot keep the reduction target non-trivial")
-        picks[m], target = chosen
-    x, y, z = solve_S3_instance(
-        base,
-        base.inv(values[2]),
-        base.inv(values[1]),
-        base.inv(values[0]),
-        target,
+        u_vals.append(u)
+        v_vals.append(v)
+        inc, dec = nxt_inc, nxt_dec
+    u_vals.append(inv[dec])
+    v_vals.append(mul[dec][last])
+    u, v = (
+        LampElem.make(base, dict(zip(positions, vals)), 0, h.window)
+        for vals in (u_vals, v_vals)
     )
-    a_of = {2: z, 3: y, 4: x, **picks}
-    g1 = {j: a_of[j] for j in range(2, n + 1)}
-    g2: dict[int, int] = {}
-    carry = base.conj(base.inv(values[0]), a_of[2])  # c_2
-    g2[2] = base.mul(a_of[2], carry)
-    for j in range(3, n + 1):
-        carry = base.mul(base.conj(base.inv(values[j - 2]), a_of[j]), carry)
-        g2[j] = base.mul(a_of[j], carry)
-    if carry != values[-1]:
-        raise SolverError("chain reduction failed to close")
-    return CommWitness(
-        ("pm", "-+"),
-        (
-            LampElem.make(base, g1, 0, window),
-            LampElem.make(base, g2, 0, window),
-        ),
-    )
+    return u, v
 
 
 def extend_witness(w: CommWitness) -> CommWitness:

@@ -28,46 +28,9 @@ size >= 7 with a base satisfying S1-S4 run in "theory" mode, mirroring the
 window margins of the almost-homomorphism construction; smaller windows run in
 "oracle" mode where the value is advisory and breadth-first search over the
 actual Cayley graph is authoritative.  In both modes the shift-0 row is decided
-by the class walk below, for every support, full or with a gap.
-
-One sign order suffices for that search.  Write Sbar_k for the members of
-the generating set with shift k; on a truncation Sbar_1 = T+, Sbar_-1 = T-.
-
-Lemma.  A shift-0 h lies in Sbar_1 . Sbar_-1 iff it lies in Sbar_-1 . Sbar_1,
-and the "-+" search decides the latter.
-
-Proof.  (1) x = (u, -1) is in T- iff u has vanishing decreasing cyclic
-product; y = (a, 1) is in T+ iff a has vanishing increasing cyclic product,
-iff v = alpha^-1(a) does (a cyclic rotation of a product is a conjugate of
-it).  As x.y = (u . shift^-1(a), 0) = u.v pointwise, h is in T- . T+ iff
-some such u makes v_i = u_i^-1 h_i vanish in increasing order.  The search
-frees u at -n..n-1, closes u at n and tests exactly that; a hit gives the
-factors u.t^-1 and alpha(v).t.
-(2) Sbar is conjugation-closed and the shift is a homomorphism: if h = a.b
-with a in Sbar_1 and b in Sbar_-1, then h = b.(b^-1 a b) with b^-1 a b in
-Sbar_1, and if h = b.a, then h = (b a b^-1).b.  So the two products are one
-set, and a "+-" search would hit on exactly the same states.
-
-The "-+" search needs no enumeration of its |P|^(2n) free choices: its state
-is one group element, and the conjugacy classes of P decide where it can go.
-
-Lemma (class walk).  Number the positions -n..n as 0..w-1, write K(x) for the
-class of x, dec_j = u_(j-1) ... u_0, inc_j = v_0 ... v_(j-1) and
-p_j = inc_j . dec_j, and let N_(w-1) = {1} and N_j = K(h_j^-1) . N_(j+1).
-From step j on, the search can still hit iff p_j . h_n lies in N_j.  So it
-hits at all iff h_n lies in N_0, that is iff 1 lies in K(h_-n) ... K(h_n).
-
-Proof.  The closing digit gives v_(w-1) = dec_(w-1) . h_n, so the search hits
-iff p_(w-1) = h_n^-1.  Choosing u_j gives
-p_(j+1) = (inc_j . u_j^-1 h_j u_j . inc_j^-1) . p_j, and as u_j runs over P
-this covers all of K(h_j) . p_j, whatever inc_j is.  So from p_j the reachable
-p_(w-1) form K(h_(w-2)) ... K(h_j) . p_j, which contains h_n^-1 iff
-p_j . h_n lies in K(h_j^-1) ... K(h_(w-2)^-1) = N_j.  Each N_j is a union of
-classes, built backward from class products.
-
-Taking at each step the least u_j whose p_(j+1) stays feasible therefore
-yields the lexicographically least hit: the first hit in
-``itertools.product`` order over the free digits.
+by the class walk of ``commutators``, for every support, full or with a gap.
+Mixed geodesics take their factor pair from the same walk, in infinite mode
+too.
 """
 
 from __future__ import annotations
@@ -80,14 +43,13 @@ from typing import Callable, Iterable, Sequence
 from .commutators import (
     RESOLVED_XI_VARIANT,  # re-exported: the recorded xi decision
     SolverError,
+    _pm_cyclic_exhaustive,
     build_2_commutator,
     build_pm1_decomposition,
-    build_pm_commutator,
     factor_minus,
     factor_plus,
     is_pm_commutator,
 )
-from .groups import class_product
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
 from .norms import fmt_fraction
 from .props import require_statements, satisfies_s_conditions
@@ -140,74 +102,12 @@ def norm_truncated(g: LampElem, mode: str = "auto") -> int:
 
 
 def pm_commutator_truncated(h: LampElem) -> bool:
-    """Mixed-commutator test with cyclic index arithmetic: whether h_n lies in
-    N_0 of the class walk (module docstring), for any support."""
+    """Mixed-commutator test with cyclic index arithmetic: whether the class
+    walk of ``commutators`` finds a factor pair over the window, for any
+    support."""
     if h.window is None or h.shift != 0:
         raise ValueError("expects a shift-0 truncated element")
-    values, feasible = _feasible_classes(h)
-    return h.base.conj_classes.class_of[values[-1]] in feasible[0]
-
-
-def _feasible_classes(h: LampElem) -> tuple[list[int], list[frozenset[int]]]:
-    """(h_-n..h_n, [N_0, ..., N_(w-1)]): the values of h in window order and the
-    class ids of the feasible sets of the class walk, built backward."""
-    base = h.base
-    table = base.conj_classes
-    reps = table.representatives()
-    n = h.window
-    given = dict(h.support)
-    values = [given.get(i, base.identity_index) for i in range(-n, n + 1)]
-    every = frozenset(range(len(reps)))
-    feasible = [frozenset((table.class_of[base.identity_index],))]
-    for value in reversed(values[:-1]):
-        after = feasible[-1]
-        # K(1) . N = N, and N = P stays P
-        if value != base.identity_index and after != every:
-            k = table.class_of[base.inv(value)]
-            reach = set().union(*(class_product(base, k, c) for c in after))
-            after = frozenset(c for c, r in enumerate(reps) if r in reach)
-        feasible.append(after)
-    feasible.reverse()
-    return values, feasible
-
-
-def _pm_cyclic_exhaustive(h: LampElem) -> tuple[LampElem, LampElem] | None:
-    """Search factor pairs u, v with h = u.v pointwise ("-+" order).
-
-    The decreasing cyclic product of u and the increasing cyclic product of
-    v must vanish; by the sign-order lemma the "+-" order hits on the same
-    states.  The class walk of the module docstring takes, at each free
-    position, the least u_j that keeps p_(j+1) . h_n in N_(j+1), and closes u
-    at n.  Returns (u, v) for the first hit in ``itertools.product`` order
-    over the free digits, or None.
-    """
-    base = h.base
-    class_of = base.conj_classes.class_of
-    mul, inv = base._mul_table, base._inv_table
-    values, feasible = _feasible_classes(h)
-    last = values[-1]
-    if class_of[last] not in feasible[0]:
-        return None
-    inc = dec = base.identity_index
-    u_vals, v_vals = [], []
-    for value, allowed in zip(values, feasible[1:]):
-        # p_j is feasible, so some u_j keeps p_(j+1) feasible
-        for u in range(len(base)):
-            v = mul[inv[u]][value]
-            nxt_inc, nxt_dec = mul[inc][v], mul[u][dec]
-            if class_of[mul[mul[nxt_inc][nxt_dec]][last]] in allowed:
-                break
-        u_vals.append(u)
-        v_vals.append(v)
-        inc, dec = nxt_inc, nxt_dec
-    u_vals.append(inv[dec])
-    v_vals.append(mul[dec][last])
-    n = h.window
-    u, v = (
-        LampElem.make(base, dict(zip(range(-n, n + 1), vals)), 0, n)
-        for vals in (u_vals, v_vals)
-    )
-    return u, v
+    return _pm_cyclic_exhaustive(h) is not None
 
 
 # -- geodesics -----------------------------------------------------------------
@@ -245,7 +145,10 @@ def geodesic(g: LampElem) -> Geodesic:
     torsion = _torsion(g)
     if m == 0:
         if norm == 2 and w > 2:
-            u, v = _pm_witness_factors(torsion)
+            found = _pm_cyclic_exhaustive(torsion)
+            if found is None:
+                raise SolverError("the class walk finds no mixed factor pair")
+            u, v = found
             return Geodesic(g, (u.mul(t_inv), v.alpha(1).mul(t)))
         if w > 3:
             # Norm 3 at shift 0 takes factor shifts (0, 0, 0) or (0, +1, -1) up
@@ -288,22 +191,6 @@ def geodesic(g: LampElem) -> Geodesic:
     s1 = factor_minus(w2.vectors[0]).mul(t_inv)
     s2 = factor_minus(w2.vectors[1]).alpha(1).mul(t_inv)
     return Geodesic(g, (s1, s2) + (t_inv,) * (-m - 2))
-
-
-def _pm_witness_factors(h: LampElem) -> tuple[LampElem, LampElem]:
-    """Factor pair (u, v) with h = u*v pointwise.
-
-    The vector u has vanishing decreasing product (it feeds a t^-1
-    conjugate) and v vanishing increasing product.  Only called when the
-    norm branch already decided the element is a mixed commutator.
-    """
-    if h.window is None:
-        g1, g2 = build_pm_commutator(h, "-+").vectors
-        return factor_minus(g1), factor_plus(g2)
-    found = _pm_cyclic_exhaustive(h)
-    if found is None:
-        raise SolverError("not a mixed commutator (cyclic search exhausted)")
-    return found
 
 
 def check_geodesic(geo: Geodesic) -> bool:

@@ -241,23 +241,3 @@ def solve_S2_instance(
             z = group.mul_many((a3, a1, group.inv(u), ia3))
             return z, u, v
     raise SolverError("no (z, u, v) realizes S2 for this triple")
-
-
-def solve_S3_instance(
-    group: FiniteGroup, u1: int, u2: int, u3: int, u4: int
-) -> tuple[int, int, int]:
-    """First (x, y, z) with u4 = x^-1 u1 x y^-1 u2 y z^-1 u3 z."""
-    ident = group.identity_index
-    if ident in (u1, u2, u3):
-        raise ValueError("S3 instances need non-trivial u1, u2, u3")
-    n = len(group)
-    for x in range(n):
-        a = group.conj(u1, x)
-        rest1 = group.mul(group.inv(a), u4)
-        for y in range(n):
-            b = group.conj(u2, y)
-            target = group.mul(group.inv(b), rest1)
-            z = group.first_conjugator(u3, target)
-            if z is not None:
-                return x, y, z
-    raise SolverError("no (x, y, z) realizes S3 for this quadruple")

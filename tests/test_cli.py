@@ -367,9 +367,8 @@ def test_axioms_validate_stdout_pinned(capsys, monkeypatch, table, thresholds, t
     assert digest == AXIOMS_VALIDATE_SHA256[(table, thresholds, theory)]
 
 
-# Full-support shift-0 elements whose truncated norms go through the cyclic
-# factor search (S3 and A5 at window 1, S3 at window 2) or the S3-statement
-# shortcut (A5 at window 2), one mixed and one not where both exist.
+# Full-support shift-0 elements, whose truncated norms go through the class
+# walk, one mixed and one not where both exist.
 FULL_SUPPORT_ELEMENTS = {
     "S3w1 mixed": ("S3", 1, {"-1": [2, 0, 1], "0": [2, 1, 0], "1": [1, 0, 2]}),
     "S3w1 not mixed": ("S3", 1, {"-1": [0, 2, 1], "0": [0, 2, 1], "1": [0, 2, 1]}),
@@ -395,9 +394,9 @@ FULL_SUPPORT_ELEMENTS = {
         },
     ),
 }
-# sha256 of `norm eval --truncated n --mode oracle` and `decompose --kind pm`
-# stdout on those elements, recorded before the cyclic search dropped its
-# "+-" pass and LampElem arithmetic stopped going through make.
+# sha256 of `norm eval --truncated n --mode oracle` stdout on those elements,
+# recorded before the cyclic search dropped its "+-" pass and LampElem
+# arithmetic stopped going through make.
 NORM_EVAL_SHA256 = {
     "S3w1 mixed": "9b763ee4dc9c6a5d330a3a1523a83a83fd115fee78d62f7852ac92a7e4ffe822",
     "S3w1 not mixed": "65476f3679464ade4fbb5717315111631ac67a2ddfd18979ada1690ddcc6f127",
@@ -407,16 +406,19 @@ NORM_EVAL_SHA256 = {
     "A5w1 not mixed": "6c3934ced605fd5288f74d20a1f866ffb39e216b04c9d68799c0c5854191e1af",
     "A5w2 mixed": "ebebf7a5929e31561d731a6fbe99d07a3aff7350bfa8f112f3fc3d0302836c78",
 }
-# (exit code, sha256); exit 2 is a structured error: the non-mixed weight-3
-# elements fail the class-product condition, and weight 5 needs statement S3
+# (exit code, sha256) of `decompose --kind pm`, which runs in infinite mode.
+# Recorded when the class walk became the only mixed-commutator builder: its
+# witnesses telescope the walk's factor pair, so the vectors of every mixed
+# element moved, S3w2 mixed builds where the acyclic S3-statement chain
+# refused it, and exit 2 is the walk's structured "no factor pair" error.
 DECOMPOSE_PM_SHA256 = {
-    "S3w1 mixed": (0, "422b5fe5a2d9f543d4cd24d9d584c2a51f7ef1c121142ef89ee4ff0997c92f3a"),
-    "S3w1 not mixed": (2, "669a260371e36d1f8aa4ab4479c9ed50cd8a9ab312662c30e1b134afcae47398"),
-    "S3w2 mixed": (2, "a19eafb8befd448478240b7ea85f10a0ea04da25bf9a32c5ffbbbd489bc2628c"),
-    "S3w2 not mixed": (2, "a19eafb8befd448478240b7ea85f10a0ea04da25bf9a32c5ffbbbd489bc2628c"),
-    "A5w1 mixed": (0, "9d8d8cf39c3c534e45769ff276f5b229685405de7e017dcab9dbe03310df2d9b"),
-    "A5w1 not mixed": (2, "669a260371e36d1f8aa4ab4479c9ed50cd8a9ab312662c30e1b134afcae47398"),
-    "A5w2 mixed": (0, "609b2420c2fe2a04bea4cab8cc87e1f49f53f5acbc43815a54a4fb119c8a1da8"),
+    "S3w1 mixed": (0, "d890d10184e42e5f0ccf2521d206395a4050b912f7ec9572767415697a5893d2"),
+    "S3w1 not mixed": (2, "452da4f849fb0b894cbe9675949e59bcac9f0657c53c62bce49b9556475bd1d1"),
+    "S3w2 mixed": (0, "d772120c424f4502ab4915480c8489df41846a1384cb9a00a36eb03a62342bb9"),
+    "S3w2 not mixed": (2, "452da4f849fb0b894cbe9675949e59bcac9f0657c53c62bce49b9556475bd1d1"),
+    "A5w1 mixed": (0, "f17c006fa9b7d878bae9227a76c371ecbb3effe2c7539dd9e284cede5f46dfe1"),
+    "A5w1 not mixed": (2, "452da4f849fb0b894cbe9675949e59bcac9f0657c53c62bce49b9556475bd1d1"),
+    "A5w2 mixed": (0, "bedd9179eeda3dde925c4dbb5225352865afbd07ae854ebe1f51432dc4cd1aae"),
 }
 
 
@@ -432,8 +434,28 @@ def test_norm_eval_and_decompose_stdout_pinned(capsys, monkeypatch, key):
     )
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == NORM_EVAL_SHA256[key]
+    norm = json.loads(out)["result"]["norm"]
     code, out, _ = run_cli(
         capsys, "decompose", "--group", group, "--element", element, "--kind", "pm"
     )
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (code, digest) == DECOMPOSE_PM_SHA256[key]
+    # the window holds the whole support, so the span walk and the cyclic
+    # walk decide alike: a witness exactly when the truncated norm is 2
+    assert (code == 0) == (norm == 2)
+
+
+@pytest.mark.parametrize("kind", ["pm", "pm+-"])
+def test_decompose_truncated_full_support_pm(capsys, kind):
+    # (0 1 2) at -1, 0 and 1 fills the window: a mixed witness must wrap round
+    cycle = [1, 2, 0, 3, 4]
+    element = json.dumps({"shift": 0, "support": {"-1": cycle, "0": cycle, "1": cycle}})
+    code, out, _ = run_cli(
+        capsys, "decompose", "--group", "A5", "--truncated", "1",
+        "--element", element, "--kind", kind,
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["result"]["verified"] is True
+    order = "+-" if kind == "pm+-" else "-+"
+    assert doc["result"]["witness"]["kind"] == {"pm": order}

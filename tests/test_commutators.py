@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -18,8 +19,10 @@ from wreathnorm.commutators import (
     transport,
     verify_witness,
 )
+from wreathnorm.groups import builtin_group
+from wreathnorm.gznorm import pm_commutator_truncated
 from wreathnorm.lamp import LampElem
-from wreathnorm.oracle import pm_pair_image
+from wreathnorm.oracle import bfs_norms, pm_pair_image
 
 
 def rand_torsion(rng, base, max_w=6, span=4):
@@ -153,21 +156,74 @@ def test_reverse_element_swaps_factor_shapes(a5):
         assert lhs == rhs
 
 
-def test_pm_exhaustive_window_oracle_z3(z3):
+@pytest.mark.parametrize("name", ["Z3", "S3"])
+def test_pm_exhaustive_window_oracle(name):
     """Both mixed orders, vectors over a window one wider than the support."""
-    wide = pm_pair_image(z3, (1, 2, 3, 4), "-+") | pm_pair_image(
-        z3, (1, 2, 3, 4), "+-"
+    base = builtin_group(name)
+    wide = pm_pair_image(base, (1, 2, 3, 4), "-+") | pm_pair_image(
+        base, (1, 2, 3, 4), "+-"
     )
     mism_direct = mism_inverted = 0
-    for choice in product(range(3), repeat=3):
-        target = LampElem.make(z3, dict(zip((1, 2, 3), choice)), 0)
+    built = Counter()
+    for choice in product(range(len(base)), repeat=3):
+        target = LampElem.make(base, dict(zip((1, 2, 3), choice)), 0)
         truth = target.support in wide
         if is_pm_commutator(target, "direct") != truth:
             mism_direct += 1
         if is_pm_commutator(target, "inverted") != truth:
             mism_inverted += 1
+        for order in ("-+", "+-"):
+            try:
+                witness = build_pm_commutator(target, order)
+            except SolverError:
+                assert not truth
+            else:
+                assert truth and verify_witness(target, witness)
+        built[truth] += 1
     assert mism_direct == 0
-    assert mism_inverted > 0  # the usage-variant is separated (and refuted) here
+    assert built[True] and built[False]
+    if name == "Z3":
+        assert mism_inverted > 0  # the usage-variant is separated (and refuted) here
+
+
+# (base, window, seeded sample size); None takes every shift-0 state
+TRUNCATED_PM_STATES = [("S3", 1, None), ("A5", 1, 400), ("A5", 2, 200)]
+
+
+@pytest.mark.parametrize(
+    "name, window, samples",
+    TRUNCATED_PM_STATES,
+    ids=[f"{name}w{window}" for name, window, _ in TRUNCATED_PM_STATES],
+)
+def test_truncated_pm_builder_matches_the_decision(name, window, samples):
+    # The builder wraps round the window: it succeeds in both orders exactly
+    # where the truncated decision says mixed, full support or not.
+    base = builtin_group(name)
+    positions = range(-window, window + 1)
+    if samples is None:
+        rows = product(range(len(base)), repeat=len(positions))
+    else:
+        rng = random.Random(f"truncated pm builder {name}w{window}")
+        rows = ([rng.randrange(len(base)) for _ in positions] for _ in range(samples))
+    bfs = bfs_norms(base, window) if samples is None else None
+    outcomes = Counter()
+    for values in rows:
+        h = LampElem.make(base, dict(zip(positions, values)), 0, window)
+        mixed = pm_commutator_truncated(h)
+        if bfs is not None and h.weight() >= 3:
+            # two shift-0 factors reach weight 2 at most
+            assert mixed == (bfs.norm_of(h) == 2)
+        for order in ("-+", "+-"):
+            if mixed:
+                witness = build_pm_commutator(h, order)
+                assert witness.kind == ("pm", order)
+                assert verify_witness(h, witness)
+            else:
+                with pytest.raises(SolverError):
+                    build_pm_commutator(h, order)
+        outcomes[mixed, h.weight() == len(positions)] += 1
+    assert outcomes[True, True]  # full support, so the witness wraps
+    assert {mixed for mixed, _ in outcomes} == {True, False}
 
 
 def test_pm_window_bound_for_small_weights(s3):

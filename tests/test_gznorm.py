@@ -6,10 +6,9 @@ from itertools import product
 import pytest
 
 from wreathnorm.acceptance import acyclic_mixed
-from wreathnorm.commutators import is_pm_commutator
+from wreathnorm.commutators import _pm_cyclic_exhaustive, is_pm_commutator
 from wreathnorm.groups import CapExceededError, builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
-    _pm_cyclic_exhaustive,
     case_norm,
     check_geodesic,
     geodesic,
@@ -249,7 +248,7 @@ LEMMA_STATES = [("S3", 1), ("A4", 1), ("Z3", 1), ("Z4", 1), ("Z3", 2)]
     "name, window", LEMMA_STATES, ids=[f"{name}w{window}" for name, window in LEMMA_STATES]
 )
 def test_sign_orders_hit_on_the_same_states(name, window):
-    # Sbar_1 . Sbar_-1 = Sbar_-1 . Sbar_1 (the lemma in the gznorm docstring):
+    # Sbar_1 . Sbar_-1 = Sbar_-1 . Sbar_1 (the lemma in the commutators docstring):
     # each order of the reference search, run alone, hits on the same states.
     base = builtin_group(name)
     positions = range(-window, window + 1)

@@ -24,7 +24,6 @@ from wreathnorm.props import (
     satisfies_s_conditions,
     solve_S1_instance,
     solve_S2_instance,
-    solve_S3_instance,
     statement_holds,
     xi,
     xi_naive,
@@ -243,30 +242,8 @@ def test_solve_s2_reverifies_both_forms(a5):
         )
 
 
-def test_solve_s3_reverifies(a5):
-    rng = random.Random(4)
-    for _ in range(100):
-        u1, u2, u3 = (rng.randrange(1, 60) for _ in range(3))
-        u4 = rng.randrange(1, 60)
-        x, y, z = solve_S3_instance(a5, u1, u2, u3, u4)
-        got = a5.mul_many(
-            (a5.inv(x), u1, x, a5.inv(y), u2, y, a5.inv(z), u3, z)
-        )
-        assert got == u4
-
-
-def test_solve_s3_never_errors_on_class_reps(a5):
-    table = conjugacy_classes(a5)
-    reps = [min(c) for c in table.classes if min(c) != a5.identity_index]
-    for u1 in reps:
-        for u2 in reps:
-            for u3 in reps:
-                solve_S3_instance(a5, u1, u2, u3, reps[0])
-
-
 def test_solver_determinism(a5):
     assert solve_S2_instance(a5, 7, 9, 11) == solve_S2_instance(a5, 7, 9, 11)
-    assert solve_S3_instance(a5, 1, 2, 3, 4) == solve_S3_instance(a5, 1, 2, 3, 4)
 
 
 def test_satisfies_s_conditions(a5, s3):
