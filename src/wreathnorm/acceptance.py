@@ -63,15 +63,7 @@ def group(name: str) -> FiniteGroup:
     return builtin_group(name)
 
 
-def _budget_scale() -> float:
-    import os
-
-    return float(os.environ.get("WREATHNORM_BUDGET_SCALE", "1"))
-
-
 def _timed(cid, name, budget, fn) -> CriterionResult:
-    if budget is not None:
-        budget = budget * _budget_scale()
     start = time.perf_counter()
     ok, details = fn()
     elapsed = time.perf_counter() - start
@@ -307,8 +299,9 @@ def classify_mismatch(elem: LampElem) -> str:
 
 def acyclic_mixed(h: LampElem) -> bool:
     """The mixed-commutator row read acyclically on the canonical
-    linearization (weight >= 4 always yes); with it the case table's
-    deviations from BFS isolate the wrap-around cases."""
+    linearization (weight >= 4 always yes).  Its table isolates nothing: its
+    disagreements with BFS equal the cyclic table's on S3 w1, A4 w1 and S3 w2,
+    and show only the |m| = 2 rows that lack the coset term of ROADMAP item 1."""
     return h.weight() > 3 or cm.is_pm_commutator(h)
 
 

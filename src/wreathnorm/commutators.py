@@ -84,10 +84,13 @@ because K(1) = {1}.  Conversely, the walk on lo..hi builds factors supported
 there.  So every mixed geodesic factor stays within one step of the support,
 inside the two-step bound that ``check_geodesic`` tests.
 
-The witness vectors telescope the pair: from g1_lo = g2_lo = 1,
-g1_(i+1) = u_i . g1_i and g2_(i+1) = v_i^-1 . g2_i, so that
-u = alpha(g1) . g1^-1 and v = g2 . alpha(g2^-1).  The vanishing products make
-both vectors trivial again past hi (at -n, cyclically, on a truncation).
+The walk splits in two.  The backward pass builds N_0 ... N_(w-1) and alone
+decides, by h_(w-1) in N_0.  The forward pass picks the digits, and its
+running products are the witness: g1_j = dec_j and g2_j = inc_j^-1.  Proof:
+u = alpha(g1) . g1^-1 reads dec_(j+1) . dec_j^-1 = u_j at position j, and
+v = g2 . alpha(g2^-1) reads inc_j^-1 . inc_(j+1) = v_j; a hit closes both
+products, dec_w = inc_w = 1, so both vectors are trivial again past the last
+position (at -n, cyclically, on a truncation).
 """
 
 from __future__ import annotations
@@ -392,11 +395,10 @@ def reverse_element(x: LampElem, about: int = 0) -> LampElem:
 def build_pm_commutator(h: LampElem, order: PmOrder = "-+") -> CommWitness:
     """Construct a verifying mixed witness; raises SolverError when h has none.
 
-    The class walk gives the factor pair (u, v) and the witness vectors
-    telescope it (module docstring), so they live within the walk's span:
-    the window, or the support's span in infinite mode.  Only the "-+" order
-    is built directly; "+-" comes from index reversal, which exchanges the
-    factor shapes.
+    The class walk's forward pass records the witness vectors (module
+    docstring), so they live within the walk's span: the window, or the
+    support's span in infinite mode.  Only the "-+" order is built directly;
+    "+-" comes from index reversal, which exchanges the factor shapes.
     """
     if order == "+-":
         w = build_pm_commutator(reverse_element(h, 0), "-+")
@@ -406,53 +408,36 @@ def build_pm_commutator(h: LampElem, order: PmOrder = "-+") -> CommWitness:
         )
     if order != "-+":
         raise ValueError("order must be '+-' or '-+'")
-    found = _pm_cyclic_exhaustive(h)
-    if found is None:
+    _, values, feasible = walk = _feasible_classes(h)
+    if h.base.conj_classes.class_of[values[-1]] not in feasible[0]:
         raise SolverError(
             "not a mixed commutator: the class product of its values misses 1"
         )
-    base = h.base
-    ident = base.identity_index
-    u, v = (dict(x.support) for x in found)
-    g1: dict[int, int] = {}
-    g2: dict[int, int] = {}
-    a = b = ident
-    for i in _walk_span(h)[:-1]:
-        # g1_(i+1) = u_i . g1_i  and  g2_(i+1) = v_i^-1 . g2_i
-        a = base.mul(u.get(i, ident), a)
-        b = base.mul(base.inv(v.get(i, ident)), b)
-        g1[i + 1], g2[i + 1] = a, b
-    vectors = (LampElem.make(base, g, 0, h.window) for g in (g1, g2))
-    return CommWitness(("pm", "-+"), tuple(vectors))
+    return CommWitness(("pm", "-+"), _walk_vectors(h.base, h.window, *walk))
 
 
-def _walk_span(h: LampElem) -> range:
-    """Positions of the class walk: the window, or the support's span."""
-    if h.window is not None:
-        return range(-h.window, h.window + 1)
-    if not h.support:
-        return range(0, 1)
-    return range(h.support[0][0], h.support[-1][0] + 1)
+def pm_walk_hits(h: LampElem) -> bool:
+    """Whether the class walk hits, read off its backward pass alone:
+    h_(w-1) lies in N_0, that is 1 lies in K(h_0) ... K(h_(w-1))."""
+    _, values, feasible = _feasible_classes(h)
+    return h.base.conj_classes.class_of[values[-1]] in feasible[0]
 
 
-def _pm_cyclic_exhaustive(h: LampElem) -> tuple[LampElem, LampElem] | None:
-    """The class walk: a factor pair (u, v) with h = u.v pointwise, or None.
-
-    u has vanishing decreasing product and v vanishing increasing product over
-    the walk's span, cyclically on a truncation.  The feasible sets N_j are
-    built backward as sets of class ids; the forward pass takes, at each free
-    position, the least u_j that keeps p_(j+1) . h_last in N_(j+1), and closes
-    u at the last position.  So (u, v) is the first hit in
-    ``itertools.product`` order over the free digits.
-    """
+def _feasible_classes(h: LampElem) -> tuple[range, list[int], list[frozenset[int]]]:
+    """The walk's backward pass: its positions (the window, or the support's
+    span), h's values there, and N_0 ... N_(w-1) as sets of class ids."""
     if h.shift != 0:
         raise ValueError("mixed commutators have shift 0")
     base = h.base
     table = base.conj_classes
     class_of, reps = table.class_of, table.representatives()
-    mul, inv = base._mul_table, base._inv_table
     ident = base.identity_index
-    positions = _walk_span(h)
+    if h.window is not None:
+        positions = range(-h.window, h.window + 1)
+    elif h.support:
+        positions = range(h.support[0][0], h.support[-1][0] + 1)
+    else:
+        positions = range(0, 1)
     given = dict(h.support)
     values = [given.get(i, ident) for i in positions]
     every = frozenset(range(len(reps)))
@@ -461,33 +446,38 @@ def _pm_cyclic_exhaustive(h: LampElem) -> tuple[LampElem, LampElem] | None:
         after = feasible[-1]
         # K(1) . N = N, and N = P stays P
         if value != ident and after != every:
-            k = class_of[inv[value]]
+            k = class_of[base.inv(value)]
             reach = set().union(*(class_product(base, k, c) for c in after))
             after = frozenset(c for c, r in enumerate(reps) if r in reach)
         feasible.append(after)
     feasible.reverse()
+    return positions, values, feasible
+
+
+def _walk_vectors(
+    base: FiniteGroup,
+    window: int | None,
+    positions: range,
+    values: list[int],
+    feasible: list[frozenset[int]],
+) -> tuple[LampElem, LampElem]:
+    """The walk's forward pass on a hit, taking the least feasible u_j at each
+    free position: the "-+" witness vectors g1_j = dec_j, g2_j = inc_j^-1."""
+    class_of = base.conj_classes.class_of
+    mul, inv = base._mul_table, base._inv_table
+    inc = dec = base.identity_index
     last = values[-1]
-    if class_of[last] not in feasible[0]:
-        return None
-    inc = dec = ident
-    u_vals, v_vals = [], []
-    for value, allowed in zip(values, feasible[1:]):
+    g1: dict[int, int] = {}
+    g2: dict[int, int] = {}
+    for i, value, allowed in zip(positions[1:], values, feasible[1:]):
         # p_j is feasible, so some u_j keeps p_(j+1) feasible
         for u in range(len(base)):
-            v = mul[inv[u]][value]
-            nxt_inc, nxt_dec = mul[inc][v], mul[u][dec]
+            nxt_inc, nxt_dec = mul[inc][mul[inv[u]][value]], mul[u][dec]
             if class_of[mul[mul[nxt_inc][nxt_dec]][last]] in allowed:
                 break
-        u_vals.append(u)
-        v_vals.append(v)
         inc, dec = nxt_inc, nxt_dec
-    u_vals.append(inv[dec])
-    v_vals.append(mul[dec][last])
-    u, v = (
-        LampElem.make(base, dict(zip(positions, vals)), 0, h.window)
-        for vals in (u_vals, v_vals)
-    )
-    return u, v
+        g1[i], g2[i] = dec, inv[inc]
+    return LampElem.make(base, g1, 0, window), LampElem.make(base, g2, 0, window)
 
 
 def extend_witness(w: CommWitness) -> CommWitness:

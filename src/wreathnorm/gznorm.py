@@ -8,7 +8,7 @@ depends only on the shift and on cheap predicates of the torsion part:
     1            single support, shift 0
     2            weight 2, shift 0
     2            shift 0 and a mixed commutator
-    3            shift 0, weight 3, not a mixed commutator
+    3            shift 0, weight >= 3, not a mixed commutator
     1            shift +-1 with telescoping torsion (the element lies in T+-)
     2            shift +-1 otherwise
     |m|          |shift| = |m| > 1
@@ -18,9 +18,11 @@ predicate for the mixed-commutator row.  Three predicates fill it:
 
 * ``is_pm_commutator`` in the infinite group (:func:`norm_gz`);
 * the cyclic ``pm_commutator_truncated`` on truncations
-  (:func:`norm_truncated`);
+  (:func:`norm_truncated`), the backward pass of the class walk;
 * in the acceptance gate, the acyclic predicate on the canonical
-  linearization, whose disagreements with BFS isolate the wrap-around cases.
+  linearization.  It isolates nothing: on S3 w1, A4 w1 and S3 w2 its
+  disagreements with BFS are exactly the cyclic table's, and both show only
+  the |m| = 2 rows, where the table lacks the coset term of ROADMAP item 1.
 
 The weight-3 test uses the resolved argument order of xi
 (``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations, windows of
@@ -29,26 +31,40 @@ window margins of the almost-homomorphism construction; smaller windows run in
 "oracle" mode where the value is advisory and breadth-first search over the
 actual Cayley graph is authoritative.  In both modes the shift-0 row is decided
 by the class walk of ``commutators``, for every support, full or with a gap.
-Mixed geodesics take their factor pair from the same walk, in infinite mode
-too.
+
+Where the shift-0 norm is below the weight, geodesics read their factors off
+a walk witness (g1, g2), in infinite mode too: the mixed pair is
+F-(g1) . t^-1 and F+(g2) . alpha . t.
+
+Lemma (norm-3 row).  If the shift-0 torsion h is not mixed, h_last is its
+value at the walk's last position and the class of x lies in N_0, then
+x != h_last, and s^-1 . h is mixed for the single s = (h_last . x^-1 there).
+
+Proof.  By the walk lemma h is mixed iff the class of h_last lies in N_0, so
+x != h_last and s != 1; N_0, a product of classes, is never empty.  s^-1 . h
+reads x . h_last^-1 . h_last = x at the last position and agrees with h
+elsewhere.  The N_j are built from the values before the last position, so
+the walk on s^-1 . h has the same N_0 and hits.  Only truncations reach this
+row above weight 3: over an S3 base such weights are mixed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Iterable, Sequence
 
 from .commutators import (
     RESOLVED_XI_VARIANT,  # re-exported: the recorded xi decision
-    SolverError,
-    _pm_cyclic_exhaustive,
+    _feasible_classes,
+    _walk_vectors,
     build_2_commutator,
     build_pm1_decomposition,
+    build_pm_commutator,
     factor_minus,
     factor_plus,
     is_pm_commutator,
+    pm_walk_hits,
 )
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
 from .norms import fmt_fraction
@@ -103,11 +119,11 @@ def norm_truncated(g: LampElem, mode: str = "auto") -> int:
 
 def pm_commutator_truncated(h: LampElem) -> bool:
     """Mixed-commutator test with cyclic index arithmetic: whether the class
-    walk of ``commutators`` finds a factor pair over the window, for any
-    support."""
+    walk of ``commutators`` hits over the window, for any support; its
+    backward pass alone decides."""
     if h.window is None or h.shift != 0:
         raise ValueError("expects a shift-0 truncated element")
-    return _pm_cyclic_exhaustive(h) is not None
+    return pm_walk_hits(h)
 
 
 # -- geodesics -----------------------------------------------------------------
@@ -144,36 +160,27 @@ def geodesic(g: LampElem) -> Geodesic:
         return Geodesic(g, (g,))
     torsion = _torsion(g)
     if m == 0:
-        if norm == 2 and w > 2:
-            found = _pm_cyclic_exhaustive(torsion)
-            if found is None:
-                raise SolverError("the class walk finds no mixed factor pair")
-            u, v = found
-            return Geodesic(g, (u.mul(t_inv), v.alpha(1).mul(t)))
-        if w > 3:
-            # Norm 3 at shift 0 takes factor shifts (0, 0, 0) or (0, +1, -1) up
-            # to order, and conjugation closure moves the single to the front,
-            # so s^-1 . g is mixed for some single s.  Only truncations get
-            # here: over an S3 base weight > 3 is always mixed.
-            for i, value in product(range(-window, window + 1), range(len(base))):
-                if value == base.identity_index:
-                    continue
-                s = LampElem.single(base, i, value, window)
-                found = _pm_cyclic_exhaustive(s.inverse().mul(torsion))
-                if found is not None:
-                    u, v = found
-                    return Geodesic(g, (s, u.mul(t_inv), v.alpha(1).mul(t)))
-            raise ValueError("no length-3 factorization through a single")
-        singles = (LampElem.single(base, i, v, window) for i, v in g.support)
-        return Geodesic(g, tuple(singles))
-    if m == 1:
-        witness, residual = build_pm1_decomposition(torsion, 1)
-        s1 = factor_plus(witness.vectors[0]).mul(t)
-        return Geodesic(g, (s1, residual.alpha(-1)))
-    if m == -1:
-        witness, residual = build_pm1_decomposition(torsion, -1)
-        s1 = factor_minus(witness.vectors[0]).mul(t_inv)
-        return Geodesic(g, (s1, residual.alpha(1)))
+        if norm == w:
+            singles = (LampElem.single(base, i, v, window) for i, v in g.support)
+            return Geodesic(g, tuple(singles))
+        if norm == 2:
+            head, (g1, g2) = (), build_pm_commutator(torsion).vectors
+        else:
+            # the norm-3 lemma of the module docstring
+            positions, values, feasible = _feasible_classes(torsion)
+            x = base.conj_classes.representatives()[min(feasible[0])]
+            last = base.mul(values[-1], base.inv(x))
+            head = (LampElem.single(base, positions[-1], last, window),)
+            values[-1] = x
+            g1, g2 = _walk_vectors(base, window, positions, values, feasible)
+        pair = (factor_minus(g1).mul(t_inv), factor_plus(g2).alpha(1).mul(t))
+        return Geodesic(g, head + pair)
+    sign = 1 if m > 0 else -1
+    step = t if sign == 1 else t_inv
+    fac = factor_plus if sign == 1 else factor_minus
+    if abs(m) == 1:
+        witness, residual = build_pm1_decomposition(torsion, sign)
+        return Geodesic(g, (fac(witness.vectors[0]).mul(step), residual.alpha(-sign)))
     if window is not None and g.support:
         # the two-factor construction writes one index above the support (and
         # may pad one below) and must not wrap; truncation-map images always
@@ -182,15 +189,10 @@ def geodesic(g: LampElem) -> Geodesic:
         lo -= (hi - lo + 1) % 2
         if hi + 1 > window or lo < -window:
             raise ValueError("torsion too wide for a geodesic in this window")
-    if m > 1:
-        w2 = build_2_commutator(torsion, 1)
-        s1 = factor_plus(w2.vectors[0]).mul(t)
-        s2 = factor_plus(w2.vectors[1]).alpha(-1).mul(t)
-        return Geodesic(g, (s1, s2) + (t,) * (m - 2))
-    w2 = build_2_commutator(torsion, -1)
-    s1 = factor_minus(w2.vectors[0]).mul(t_inv)
-    s2 = factor_minus(w2.vectors[1]).alpha(1).mul(t_inv)
-    return Geodesic(g, (s1, s2) + (t_inv,) * (-m - 2))
+    w2 = build_2_commutator(torsion, sign)
+    s1 = fac(w2.vectors[0]).mul(step)
+    s2 = fac(w2.vectors[1]).alpha(-sign).mul(step)
+    return Geodesic(g, (s1, s2) + (step,) * (abs(m) - 2))
 
 
 def check_geodesic(geo: Geodesic) -> bool:

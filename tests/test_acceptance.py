@@ -4,6 +4,7 @@ Each test prints one pass/fail line; run with ``pytest tests/test_acceptance.py 
 or equivalently ``wreathnorm selftest --scale full``.
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -16,9 +17,9 @@ from wreathnorm import acceptance
 
 
 @cache
-def _criterion_4():
-    """C4 is the slowest criterion; its one result serves every test below."""
-    return acceptance.criterion_4()
+def _result(criterion):
+    """Each criterion runs once; its one result serves every test below."""
+    return criterion()
 
 
 @pytest.mark.parametrize(
@@ -27,13 +28,26 @@ def _criterion_4():
     ids=[f"C{i}" for i in range(1, len(acceptance.CRITERIA) + 1)],
 )
 def test_criterion(criterion):
-    result = _criterion_4() if criterion is acceptance.criterion_4 else criterion()
+    result = _result(criterion)
     print(result.line())
     if not result.ok:
         print(json.dumps(result.details, indent=1, default=str))
     assert result.ok, result.line()
     if result.budget is not None:
         assert result.elapsed < result.budget
+
+
+# sha256 of the criterion rows of ``selftest --scale full`` (seed 0), serialized
+# as the command prints them (sorted keys, indent 2) with ``elapsed_s`` removed
+REPORT_ROWS_SHA256 = "f293909392c8a773c5811f2b152969f9c3d81253e5fca0ba66649726ff2a8636"
+
+
+def test_report_rows_pinned():
+    rows = [_result(criterion).to_json() for criterion in acceptance.CRITERIA]
+    for row in rows:
+        del row["elapsed_s"]
+    text = json.dumps(rows, sort_keys=True, indent=2, default=str) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_ROWS_SHA256
 
 
 def test_quick_tier():
@@ -44,7 +58,7 @@ def test_quick_tier():
 
 
 def test_xi_variant_resolution_recorded():
-    result = _criterion_4()
+    result = _result(acceptance.criterion_4)
     assert result.details["resolved_xi_variant"] == "direct"
     from wreathnorm.gznorm import RESOLVED_XI_VARIANT
 

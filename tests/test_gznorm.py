@@ -6,7 +6,14 @@ from itertools import product
 import pytest
 
 from wreathnorm.acceptance import acyclic_mixed
-from wreathnorm.commutators import _pm_cyclic_exhaustive, is_pm_commutator
+from wreathnorm.commutators import (
+    SolverError,
+    build_pm_commutator,
+    factor_minus,
+    factor_plus,
+    is_pm_commutator,
+    pm_walk_hits,
+)
 from wreathnorm.groups import CapExceededError, builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
     case_norm,
@@ -232,11 +239,17 @@ def test_cyclic_search_kernel_matches_reference(name, window, samples):
     outcomes = Counter()
     for values in rows:
         h = LampElem.make(base, dict(zip(positions, values)), 0, window)
-        found = _pm_cyclic_exhaustive(h)
+        try:
+            g1, g2 = build_pm_commutator(h).vectors
+            found = factor_minus(g1), factor_plus(g2)
+        except SolverError:
+            found = None
         expected = reference_pm_cyclic_exhaustive(h)
         # the reference tries "+-" after a "-+" miss; the lemma says it never hits
         assert expected is None or expected[0] == "-+"
         assert found == (None if expected is None else expected[1:])
+        # the decision reads the backward pass alone
+        assert pm_walk_hits(h) == (expected is not None)
         outcomes[found is not None] += 1
     assert outcomes[False] and outcomes[True]
 
