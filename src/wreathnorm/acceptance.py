@@ -232,19 +232,17 @@ def _pm_equivalence_a5_reps() -> dict:
                 counts["triples"] += 1
                 found = oc.pm_weight3_exhaustive(base, v1, v2, v3)
                 truth = found is not None
+                h = LampElem.make(base, {1: v1, 2: v2, 3: v3})
                 if truth:
                     a, b, e = found
                     c = base.mul(base.inv(v1), a)
                     d = base.mul_many((base.inv(v2), b, base.inv(a), base.inv(v1), a))
                     g1 = LampElem.make(base, {2: a, 3: b, 4: e})
                     g2 = LampElem.make(base, {2: c, 3: d, 4: e})
-                    target = LampElem.make(base, {1: v1, 2: v2, 3: v3})
-                    if not cm.verify_witness(
-                        target, cm.CommWitness(("pm", "-+"), (g1, g2))
-                    ):
+                    witness = cm.CommWitness(("pm", "-+"), (g1, g2))
+                    if not cm.verify_witness(h, witness):
                         counts["direct_mismatch"] += 1
                         continue
-                h = LampElem.make(base, {1: v1, 2: v2, 3: v3})
                 if cm.is_pm_commutator(h, "direct") != truth:
                     counts["direct_mismatch"] += 1
                 if cm.is_pm_commutator(h, "inverted") != truth:
@@ -398,9 +396,12 @@ def criterion_6(sets: int = 100, seed: int = 777) -> CriterionResult:
 # -- criterion 7: norm transform properties ------------------------------------------
 
 
+def _word_gens(base: FiniteGroup) -> frozenset[int]:
+    return nm.conjugacy_closure(base, [base.index[g] for g in base.generators])
+
+
 def _word_table(base: FiniteGroup) -> nm.NormTable:
-    gens = nm.conjugacy_closure(base, [base.index[g] for g in base.generators])
-    return nm.word_norm_bfs(base, gens)
+    return nm.word_norm_bfs(base, _word_gens(base))
 
 
 def _normal_subgroups_for(name: str, base: FiniteGroup) -> list[frozenset[int]]:
@@ -452,12 +453,10 @@ def criterion_7(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
         quotient_checks = []
         for name in ("S3", "A4", "S4"):
             base = group(name)
-            table = _word_table(base)
+            gens = _word_gens(base)
+            table = nm.word_norm_bfs(base, gens)
             for normal in _normal_subgroups_for(name, base):
                 quotient_table, projection = nm.quotient_norm(table, normal)
-                gens = nm.conjugacy_closure(
-                    base, [base.index[g] for g in base.generators]
-                )
                 image = {projection[i] for i in gens}
                 image.discard(quotient_table.group.identity_index)
                 bfs = nm.word_norm_bfs(quotient_table.group, image)
@@ -578,6 +577,7 @@ def run_quick(echo=print) -> list[CriterionResult]:
 
     def run():
         base = group("S3")
+        word = _word_table(base)
         a5 = group("A5")
         t = LampElem.t_power(a5, 1)
         checks = {
@@ -585,13 +585,8 @@ def run_quick(echo=print) -> list[CriterionResult]:
                 conjugacy_classes(builtin_group("Z2")).classes
             )
             == 2,
-            "word_norm_gens_are_1": all(
-                _word_table(base)[i] == 1
-                for i in nm.conjugacy_closure(
-                    base, [base.index[g] for g in base.generators]
-                )
-            ),
-            "ball_zero_is_identity": nm.ball(_word_table(base), 0)
+            "word_norm_gens_are_1": all(word[i] == 1 for i in _word_gens(base)),
+            "ball_zero_is_identity": nm.ball(word, 0)
             == frozenset({base.identity_index}),
             "xi_trivial_instance": pr.xi(
                 a5, 5, 9, a5.mul(a5.inv(9), a5.inv(5))

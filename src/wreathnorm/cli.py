@@ -62,7 +62,7 @@ def _envelope(args, result, group_spec: str | None) -> dict:
 
 
 def _parse_qs(text: str) -> list[Fraction]:
-    return [Fraction(part.strip()) for part in text.split(",") if part.strip()]
+    return [nm.parse_fraction(part.strip()) for part in text.split(",") if part.strip()]
 
 
 def _element(args, base) -> LampElem:

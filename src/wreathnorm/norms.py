@@ -50,6 +50,14 @@ class ValidationReport:
         return {"ok": self.ok, "violations": [v.to_json() for v in self.violations]}
 
 
+def parse_fraction(v: int | str) -> Fraction:
+    """``Fraction(v)``, raising ValueError (not ZeroDivisionError) on "n/0"."""
+    try:
+        return Fraction(v)
+    except ZeroDivisionError:
+        raise ValueError(f"{v!r} has a zero denominator") from None
+
+
 def fmt_fraction(v: Value) -> str:
     f = Fraction(v)
     return f"{f.numerator}/{f.denominator}"
@@ -103,18 +111,23 @@ class NormTable:
 
     @classmethod
     def from_json(cls, group: FiniteGroup, doc: Iterable[dict]) -> "NormTable":
-        """One ``{"element": id, "value": v}`` row per element, ids in [0, |G|)."""
+        """One ``{"element": id, "value": v}`` row per element: ids are JSON
+        integers in [0, |G|), values integers or strings such as "3/2"."""
         values: list[Value] = [Fraction(0)] * len(group)
         seen = [False] * len(group)
         for row in doc:
             if not isinstance(row, dict) or not {"element", "value"} <= row.keys():
                 raise ValueError(f"table row {row!r} needs 'element' and 'value'")
-            i = int(row["element"])
+            i, v = row["element"], row["value"]
+            if type(i) is not int:
+                raise ValueError(f"element id {i!r} is not an integer")
             if not 0 <= i < len(group):
                 raise ValueError(f"element id {i} is outside [0, {len(group)})")
             if seen[i]:
                 raise ValueError(f"duplicate row for element {i}")
-            values[i] = Fraction(row["value"])
+            if type(v) not in (int, str):
+                raise ValueError(f"value {v!r} is not an integer or a string")
+            values[i] = parse_fraction(v)
             seen[i] = True
         if not all(seen):
             raise ValueError("table must cover every element")

@@ -11,9 +11,9 @@ state carries a class label, the least code in its class.  The class step: for
 X a union of classes, X . S-bar is the union of the classes met by r . S-bar
 for one representative r per class of X, as x = y^-1 r y gives x . S-bar =
 y^-1 (r . S-bar) y.  The BFS takes one class step per level and reads each
-state's distance back through its label; ``SbarContext.ball2`` is one class
-step from S-bar.  Distance labels are convention-free, so runs are
-deterministic.
+state's distance back through its label; ``SbarContext`` runs the same BFS
+once and answers bounded-norm queries by lookup.  Distance labels are
+convention-free, so runs are deterministic.
 
 The large-table validators are exact reformulations sized for millions of
 states:
@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .groups import CapExceededError, FiniteGroup
-from .lamp import LampElem, in_Sbar
+from .lamp import LampElem
 
 DEFAULT_STATE_CAP = 10**9
 DEFAULT_GEN_CAP = 10**7
@@ -387,49 +387,29 @@ class BfsResult:
         }
 
 
-def _sbar_classes(group: TruncatedGroup, gen_codes: np.ndarray) -> np.ndarray:
-    """Mask over codes, set at the class label of every generator; raises
-    RuntimeError unless the generators form a union of conjugacy classes."""
-    labels = group.class_labels
-    in_sbar = np.zeros(len(group), dtype=bool)
+def _check_sbar_classes(labels: np.ndarray, gen_codes: np.ndarray) -> None:
+    """Raise RuntimeError unless the generators form a union of conjugacy
+    classes: a state is a generator iff its class label is one."""
+    in_sbar = np.zeros(labels.size, dtype=bool)
     in_sbar[gen_codes] = True
-    marks = np.zeros(len(group), dtype=bool)
-    marks[labels[gen_codes]] = True
-    if not np.array_equal(marks[labels], in_sbar):
+    if not np.array_equal(in_sbar[labels], in_sbar):
         raise RuntimeError("the generating set is not a union of conjugacy classes")
-    return marks
 
 
-def _class_step(
-    group: TruncatedGroup, gen_blocks, reps: Sequence[int], marks: np.ndarray
-) -> None:
-    """Set marks at the class label of every state of r . S-bar, for each
-    class representative r in ``reps``."""
-    labels = group.class_labels
-    for rep in reps:
-        for _, prods in _times(group, gen_blocks, rep):
-            marks[labels[prods]] = True
-
-
-def bfs_norms(
-    base: FiniteGroup,
-    window: int,
-    state_cap: int = DEFAULT_STATE_CAP,
-    gen_cap: int = DEFAULT_GEN_CAP,
-) -> BfsResult:
-    """Exact distances from the identity over the conjugacy-closed generators.
+def _class_bfs(
+    group: TruncatedGroup, gen_codes: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """Per-state distances over the generators ``gen_codes``, and the diameter.
 
     Level-synchronized over conjugacy classes, one class step (see the module
     docstring) per level from the representatives of the last layer.  Each
-    state's distance is its class's.  Raises RuntimeError if S-bar is
-    not a union of classes, if a level would reach the UNREACHED sentinel, or
-    if states stay unreached.
+    state's distance is its class's.  Raises RuntimeError if the generators
+    are not a union of classes, if a level would reach the UNREACHED
+    sentinel, or if states stay unreached.
     """
-    started = time.perf_counter()
-    group = TruncatedGroup(base, window, state_cap)
-    gens = enumerate_Sbar(base, window, gen_cap)
-    gen_codes = np.array([group.encode(s) for s in gens], dtype=np.int64)
-    _sbar_classes(group, gen_codes)
+    # labels first: no other per-state array is alive while they are built
+    labels = group.class_labels
+    _check_sbar_classes(labels, gen_codes)
     gen_blocks = list(_shift_blocks(group, gen_codes))
     class_dist = np.full(len(group), UNREACHED, dtype=np.uint8)  # at representatives
     class_dist[0] = 0
@@ -437,7 +417,9 @@ def bfs_norms(
     level = 0
     while frontier:
         reached = np.zeros(len(group), dtype=bool)
-        _class_step(group, gen_blocks, frontier, reached)
+        for rep in frontier:
+            for _, prods in _times(group, gen_blocks, rep):
+                reached[labels[prods]] = True
         new = np.flatnonzero(reached & (class_dist == UNREACHED))
         if new.size == 0:
             break
@@ -449,17 +431,33 @@ def bfs_norms(
         class_dist[new] = level
         frontier = new.tolist()
 
-    distances = class_dist[group.class_labels]
+    distances = class_dist[labels]
     missing = int(np.count_nonzero(distances == UNREACHED))
     if missing:
         raise RuntimeError(
             f"generators failed to reach the whole truncation; {missing} states missing"
         )
+    return distances, level
+
+
+def bfs_norms(
+    base: FiniteGroup,
+    window: int,
+    state_cap: int = DEFAULT_STATE_CAP,
+    gen_cap: int = DEFAULT_GEN_CAP,
+) -> BfsResult:
+    """Exact distances from the identity over the conjugacy-closed generators
+    (see ``_class_bfs`` for the search and the errors it raises)."""
+    started = time.perf_counter()
+    group = TruncatedGroup(base, window, state_cap)
+    gens = enumerate_Sbar(base, window, gen_cap)
+    gen_codes = np.array([group.encode(s) for s in gens], dtype=np.int64)
+    distances, diameter = _class_bfs(group, gen_codes)
     return BfsResult(
         group,
         distances,
-        np.bincount(distances, minlength=level + 1).tolist(),
-        diameter=level,
+        np.bincount(distances, minlength=diameter + 1).tolist(),
+        diameter=diameter,
         generator_count=len(gens),
         elapsed=time.perf_counter() - started,
     )
@@ -498,67 +496,32 @@ def set_power_norms(
     return dist
 
 
-# -- bounded-radius membership without a full BFS --------------------------------
+# -- bounded-norm queries over one BFS -----------------------------------------
 
 
 class SbarContext:
-    """Cached generator codes and small balls for bounded-norm queries."""
+    """Generator codes and the BFS distances of one truncation, for
+    bounded-norm queries."""
 
     def __init__(self, group: TruncatedGroup):
         self.group = group
         gens = enumerate_Sbar(group.base, group.window)
         self.gen_codes = np.array(sorted(group.encode(s) for s in gens), dtype=np.int64)
-        self._gen_blocks = list(_shift_blocks(group, self.gen_codes))
+        self.distances, _ = _class_bfs(group, self.gen_codes)
 
-    @cached_property
-    def ball1(self) -> np.ndarray:
-        mask = np.zeros(len(self.group), dtype=bool)
-        mask[self.gen_codes] = True
-        mask[0] = True
-        return mask
-
-    @cached_property
+    @property
     def ball2(self) -> np.ndarray:
-        """S-bar and S-bar . S-bar (the identity is s . s^-1): one class step
-        (see the module docstring) from the classes of S-bar."""
-        marks = _sbar_classes(self.group, self.gen_codes)
-        _class_step(self.group, self._gen_blocks, np.flatnonzero(marks).tolist(), marks)
-        return marks[self.group.class_labels]
-
-    def probes(self, code: int) -> np.ndarray:
-        """Codes of s^-1 * g over all generators s (the generator set is
-        symmetric, so this is u * g over all generators u)."""
-        out = np.empty(self.gen_codes.size, dtype=np.int64)
-        for pos, prods in _times(self.group, self._gen_blocks, code):
-            out[pos] = prods
-        return out
+        """Mask of the states of norm at most 2."""
+        return self.distances <= 2
 
 
-def bounded_norm(
-    ctx: SbarContext, g: LampElem, r_max: int
-) -> int | None:
-    """Exact norm when it is <= r_max (r_max <= 3), else None.
-
-    Radius 1 is the membership predicate; radius 2 probes s^-1 g over the
-    generating set; radius 3 probes against the radius-2 ball.
-    """
+def bounded_norm(ctx: SbarContext, g: LampElem, r_max: int) -> int | None:
+    """Exact norm when it is <= r_max (r_max <= 3), else None.  Raises
+    ValueError if g does not live in the context's truncation."""
     if not 0 <= r_max <= 3:
         raise ValueError("bounded_norm supports r_max <= 3 only")
-    if g.is_identity():
-        return 0
-    if in_Sbar(g):
-        return 1
-    if r_max < 2:
-        return None
-    code = ctx.group.encode(g)
-    probes = ctx.probes(code)
-    if bool(ctx.ball1[probes].any()):
-        return 2
-    if r_max < 3:
-        return None
-    if bool(ctx.ball2[probes].any()):
-        return 3
-    return None
+    d = int(ctx.distances[ctx.group.encode(g)])
+    return d if d <= r_max else None
 
 
 # -- exhaustive existential searches backing the derived predicates ---------------

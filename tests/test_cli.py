@@ -136,6 +136,13 @@ def test_axioms_validate_inline(capsys, s3_word_table):
         (lambda doc: doc[:-1] + [{"element": -1, "value": "1"}], "outside"),
         (lambda doc: doc + [dict(doc[0])], "duplicate"),
         (lambda doc: doc[:-1] + [{"element": 5}], "'value'"),
+        (lambda doc: doc[:1] + [{"element": 1.9, "value": "1"}] + doc[2:], "integer"),
+        (lambda doc: doc[:1] + [{"element": True, "value": "1"}] + doc[2:], "integer"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": True}] + doc[2:], "string"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": "1/0"}] + doc[2:], "zero"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": None}] + doc[2:], "string"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": [1]}] + doc[2:], "string"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": 1e400}] + doc[2:], "string"),
     ],
 )
 def test_axioms_validate_malformed_table_is_structured_error(
@@ -262,6 +269,10 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
         ("almost-hom", "verify", "--k", '[{"mode":{"truncated":2}}]', "--q", "0,1"),
         ("axioms", "validate", "--group", "S3", "--table", "/nonexistent.json",
          "--thresholds", "0,1"),
+        ("almost-hom", "verify", "--k", "[]", "--q", "0,1/0"),
+        ("axioms", "validate", "--group", "S3", "--table",
+         json.dumps([{"element": i, "value": str(min(i, 1))} for i in range(6)]),
+         "--thresholds", "0,1/0"),
     ],
     ids=[
         "support-value-int",
@@ -274,6 +285,8 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
         "k-object",
         "k-truncated",
         "table-missing-file",
+        "q-zero-denominator",
+        "thresholds-zero-denominator",
     ],
 )
 def test_malformed_element_and_input_is_structured_error(capsys, argv):

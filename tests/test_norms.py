@@ -258,6 +258,13 @@ def test_table_json_round_trip(s3, s3_word_table):
         (lambda doc: doc + [dict(doc[2])], "duplicate"),
         (lambda doc: doc[:-1] + [{"element": 5}], "'value'"),
         (lambda doc: doc[:-1] + [{"value": "1"}], "'element'"),
+        (lambda doc: doc[:1] + [{"element": 1.9, "value": "1"}] + doc[2:], "integer"),
+        (lambda doc: doc[:1] + [{"element": True, "value": "1"}] + doc[2:], "integer"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": True}] + doc[2:], "string"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": "1/0"}] + doc[2:], "zero"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": None}] + doc[2:], "string"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": [1]}] + doc[2:], "string"),
+        (lambda doc: doc[:1] + [{"element": 1, "value": 1e400}] + doc[2:], "string"),
     ],
 )
 def test_table_json_rejects_malformed_rows(s3, s3_word_table, edit, message):

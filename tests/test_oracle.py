@@ -148,12 +148,16 @@ def test_a5_bfs_shape_and_validators(a5_bfs):
 
 def test_bounded_norm_full_agreement_s3(s3, s3_bfs):
     ctx = SbarContext(s3_bfs.group)
-    for code in range(len(s3_bfs.group)):
-        expected = int(s3_bfs.distances[code])
-        got = bounded_norm(ctx, s3_bfs.group.decode(code), 3)
-        assert got == (expected if expected <= 3 else None)
+    for r_max in range(4):
+        for code in range(len(s3_bfs.group)):
+            expected = int(s3_bfs.distances[code])
+            got = bounded_norm(ctx, s3_bfs.group.decode(code), r_max)
+            assert got == (expected if expected <= r_max else None)
     with pytest.raises(ValueError):
         bounded_norm(ctx, s3_bfs.group.decode(0), 4)
+    # t of window 2 is a generator, but not of this window-1 truncation
+    with pytest.raises(ValueError):
+        bounded_norm(ctx, LampElem.t_power(s3, 1, 2), 3)
 
 
 def test_bounded_norm_spot_agreement_a5(a5, a5_bfs):
@@ -285,7 +289,9 @@ def test_ball2_matches_state_level_products(request, name, window):
     gens = enumerate_Sbar(base, window)
     gvecs, gshifts = _prep_generators(group, gens)
     ctx = SbarContext(group)
-    expected = ctx.ball1.copy()
+    expected = np.zeros(len(group), dtype=bool)
+    expected[[group.encode(s) for s in gens]] = True
+    expected[0] = True
     blocks = oracle._shift_blocks(group, ctx.gen_codes)
     _mark_products(group, blocks, gvecs, gshifts, expected)
     assert ctx.ball2.tobytes() == expected.tobytes()
@@ -373,7 +379,6 @@ def test_a4_window_two_ground_truth(a4):
         expected = int(res.distances[code])
         got = bounded_norm(ctx, res.group.decode(code), 2)
         assert got == (expected if expected <= 2 else None)
-    assert "ball2" not in vars(ctx)
 
 
 def test_binary_round_trip(tmp_path, s3_bfs):
