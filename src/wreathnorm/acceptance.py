@@ -32,6 +32,10 @@ from .groups import (
 )
 from .lamp import LampElem, in_Sbar
 
+C3_ELEMENTS = 1000  # random A5 torsion elements
+C6_SETS = 100  # random K sets
+RANDOM_TABLES = 1000  # seeded S3 pseudo-norms, in C7 and again in C8
+
 
 @dataclass
 class CriterionResult:
@@ -78,13 +82,12 @@ def random_torsion(
     base: FiniteGroup,
     max_weight: int,
     index_range: tuple[int, int],
-    window: int | None = None,
 ) -> LampElem:
     lo, hi = index_range
     weight = rng.randint(0, max_weight)
     indices = rng.sample(range(lo, hi + 1), min(weight, hi - lo + 1))
     support = {i: rng.randrange(1, len(base)) for i in indices}
-    return LampElem.make(base, support, 0, window)
+    return LampElem.make(base, support)
 
 
 # -- criterion 1: S1-S4 on A5 -----------------------------------------------------
@@ -135,21 +138,22 @@ def criterion_2() -> CriterionResult:
 # -- criterion 3: witness round trips ----------------------------------------------
 
 
-def criterion_3(count: int = 1000, seed: int = 20240901) -> CriterionResult:
+def criterion_3(seed: int = 20240901) -> CriterionResult:
     def run():
         base = group("A5")
         rng = random.Random(seed)
         failures = 0
         built = {"two_comm": 0, "pm": 0, "pm1": 0, "transport": 0}
-        for _ in range(count):
+        for _ in range(C3_ELEMENTS):
             h = random_torsion(rng, base, 7, (-5, 5))
+            two_comm = {}
             for sign in (1, -1):
                 witness, residual = cm.build_pm1_decomposition(h, sign)
                 if cm.evaluate_witness(witness).mul(residual) != h:
                     failures += 1
                 built["pm1"] += 1
-                w2 = cm.build_2_commutator(h, sign)
-                if not cm.verify_witness(h, w2):
+                two_comm[sign] = cm.build_2_commutator(h, sign)
+                if not cm.verify_witness(h, two_comm[sign]):
                     failures += 1
                 built["two_comm"] += 1
             if h.weight() >= 4:
@@ -159,15 +163,14 @@ def criterion_3(count: int = 1000, seed: int = 20240901) -> CriterionResult:
                         failures += 1
                     built["pm"] += 1
             if h.weight() >= 1:
-                w2 = cm.build_2_commutator(h, 1)
                 old = list(h.support_indices())
                 new = [idx + 2 * (j + 1) for j, idx in enumerate(old)]
                 try:
-                    cm.transport(w2, old, new)
+                    cm.transport(two_comm[1], old, new)
                 except cm.TransportError:
                     failures += 1
                 built["transport"] += 1
-        return failures == 0, {"elements": count, "failures": failures, **built}
+        return failures == 0, {"elements": C3_ELEMENTS, "failures": failures, **built}
 
     return _timed("C3", "witness builders round-trip on random elements", 120.0, run)
 
@@ -365,13 +368,13 @@ def _summarize_mismatches(items: list[tuple[int, str]]) -> dict:
 # -- criterion 6: the truncation almost-homomorphism --------------------------------
 
 
-def criterion_6(sets: int = 100, seed: int = 777) -> CriterionResult:
+def criterion_6(seed: int = 777) -> CriterionResult:
     def run():
         base = group("A5")
         rng = random.Random(seed)
         q_set = [0, 1, 2, 3, 4, 5]
         bad_sets = 0
-        for _ in range(sets):
+        for _ in range(C6_SETS):
             size = rng.randint(1, 8)
             k_set = []
             for _ in range(size):
@@ -388,7 +391,7 @@ def criterion_6(sets: int = 100, seed: int = 777) -> CriterionResult:
             )
             if not report.ok:
                 bad_sets += 1
-        return bad_sets == 0, {"k_sets": sets, "failing_sets": bad_sets}
+        return bad_sets == 0, {"k_sets": C6_SETS, "failing_sets": bad_sets}
 
     return _timed("C6", "truncation map is a K-Q almost-homomorphism", 300.0, run)
 
@@ -446,7 +449,7 @@ def random_pseudo_norm(rng: random.Random, base: FiniteGroup) -> nm.NormTable:
     return nm.NormTable(base, [Fraction(d or 0, 840) for d in dist])
 
 
-def criterion_7(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
+def criterion_7(seed: int = 313) -> CriterionResult:
     def run():
         details: dict = {}
         failures = 0
@@ -477,7 +480,7 @@ def criterion_7(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
         base = group("S3")
         rng = random.Random(seed)
         round_bad = 0
-        for _ in range(random_tables):
+        for _ in range(RANDOM_TABLES):
             table = random_pseudo_norm(rng, base)
             if not nm.validate_pseudo_norm(table).ok:
                 round_bad += 1
@@ -487,7 +490,7 @@ def criterion_7(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
                 round_bad += 1
             if nm.integer_round(rounded).values != rounded.values:
                 round_bad += 1
-        details["random_tables"] = random_tables
+        details["random_tables"] = RANDOM_TABLES
         details["integer_round_failures"] = round_bad
         failures += round_bad
         return failures == 0, details
@@ -508,7 +511,7 @@ def _agreement_thresholds(table: nm.NormTable) -> list[Fraction]:
     return [Fraction(s, scale) for s in sorted(sums.union(scaled, [0]))]
 
 
-def criterion_8(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
+def criterion_8(seed: int = 313) -> CriterionResult:
     def run():
         disagreements = 0
         roundtrip_bad = 0
@@ -517,7 +520,7 @@ def criterion_8(random_tables: int = 1000, seed: int = 313) -> CriterionResult:
             tables.append(_word_table(group(name)))
         rng = random.Random(seed)
         base = group("S3")
-        for _ in range(random_tables):
+        for _ in range(RANDOM_TABLES):
             raw = random_pseudo_norm(rng, base)
             tables.append(raw)
             tables.append(nm.integer_round(raw))

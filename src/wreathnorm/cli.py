@@ -151,12 +151,10 @@ def cmd_decompose(args) -> int:
         order = "+-" if kind == "pm+-" else "-+"
         witness = cm.build_pm_commutator(elem, order)
         verified = cm.verify_witness(elem, witness)
-    elif kind in ("pm1+", "pm1-"):
+    else:  # "pm1+" or "pm1-", the last of the parser's choices
         sign = 1 if kind == "pm1+" else -1
         witness, residual = cm.build_pm1_decomposition(elem, sign)
         verified = cm.evaluate_witness(witness).mul(residual) == elem
-    else:
-        raise SystemExit(f"unknown kind {kind!r}")
     result = {
         "witness": witness.to_json(),
         "verified": verified,

@@ -327,9 +327,10 @@ def builtin_group(name: str) -> FiniteGroup:
 
 
 def perm_lists(value: object, what: str) -> list[list[int]]:
-    """``value`` if it is a list of integer lists, else a ValueError."""
+    """``value`` if it is a list of integer lists, else a ValueError (a bool
+    is no integer)."""
     if not isinstance(value, list) or not all(
-        isinstance(p, list) and all(isinstance(x, int) for x in p) for p in value
+        isinstance(p, list) and all(type(x) is int for x in p) for p in value
     ):
         raise ValueError(f"{what} must be a list of permutations (integer lists)")
     return value
@@ -339,7 +340,7 @@ def _inline_spec(spec: Mapping) -> tuple[int, list[list[int]]]:
     missing = [key for key in ("degree", "generators") if key not in spec]
     if missing:
         raise ValueError(f"inline group spec is missing {', '.join(missing)}")
-    if not isinstance(spec["degree"], int):
+    if type(spec["degree"]) is not int:
         raise ValueError("inline group spec degree must be an integer")
     return spec["degree"], perm_lists(spec["generators"], "generators")
 

@@ -25,12 +25,12 @@ predicate for the mixed-commutator row.  Three predicates fill it:
   the |m| = 2 rows, where the table lacks the coset term of ROADMAP item 1.
 
 The weight-3 test uses the resolved argument order of xi
-(``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations, windows of
-size >= 7 with a base satisfying S1-S4 run in "theory" mode, mirroring the
-window margins of the almost-homomorphism construction; smaller windows run in
-"oracle" mode where the value is advisory and breadth-first search over the
-actual Cayley graph is authoritative.  In both modes the shift-0 row is decided
-by the class walk of ``commutators``, for every support, full or with a gap.
+(``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations every mode of
+:func:`norm_truncated` returns one value, its shift-0 row decided by the class
+walk of ``commutators`` for every support, full or with a gap.  Only "theory"
+mode checks the hypotheses under which it is the exact norm: window size >= 7,
+mirroring the window margins of the almost-homomorphism construction, and a
+base satisfying S1-S4.  Elsewhere breadth-first search is authoritative.
 
 Where the shift-0 norm is below the weight, geodesics read their factors off
 a walk witness (g1, g2), in infinite mode too: the mixed pair is
@@ -68,7 +68,7 @@ from .commutators import (
 )
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
 from .norms import fmt_fraction
-from .props import require_statements, satisfies_s_conditions
+from .props import require_statements
 
 
 def _torsion(g: LampElem) -> LampElem:
@@ -98,21 +98,19 @@ def norm_gz(g: LampElem) -> int:
 def norm_truncated(g: LampElem, mode: str = "auto") -> int:
     """Case-table norm on a truncation, with cyclic predicates.
 
-    ``mode`` is "theory" (window >= 7, base satisfying S1-S4: the value is the
-    exact norm for elements within the window margins of the truncation map),
-    "oracle" (advisory; BFS is authoritative), or "auto" to pick by window
-    size.
+    Every mode returns the same value.  "theory" first checks the hypotheses
+    under which it is the exact norm for elements within the window margins
+    of the truncation map (window size >= 7, base satisfying S1-S4) and raises
+    ValueError if one fails; "oracle" and "auto" check nothing, and there the
+    value is advisory (BFS is authoritative).
     """
     if g.window is None:
         raise ValueError("norm_truncated expects a truncated element")
-    width = 2 * g.window + 1
-    if mode == "auto":
-        mode = "theory" if width >= 7 and satisfies_s_conditions(g.base) else "oracle"
     if mode == "theory":
-        if width < 7:
+        if 2 * g.window + 1 < 7:
             raise ValueError("theory mode needs window size >= 7")
         require_statements(g.base, ("S1", "S2", "S3", "S4"))
-    elif mode != "oracle":
+    elif mode not in ("auto", "oracle"):
         raise ValueError("mode must be 'auto', 'theory' or 'oracle'")
     return case_norm(g, pm_commutator_truncated)
 

@@ -201,7 +201,11 @@ class LampElem:
             ints = isinstance(images, list) and all(type(x) is int for x in images)
             if not ints or tuple(images) not in base.index:
                 raise ValueError(f"support value {images!r} not in the base group")
-            support[int(key)] = base.index[tuple(images)]
+            # keys such as "1" and "01" name one index, whatever their values
+            index = int(key) if window is None else _reduce(int(key), window)
+            if index in support:
+                raise ValueError(f"duplicate support index {index}")
+            support[index] = base.index[tuple(images)]
         return LampElem.make(base, support, shift, window)
 
 

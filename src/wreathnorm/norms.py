@@ -101,9 +101,6 @@ class NormTable:
     def kernel(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.values) if v == 0)
 
-    def max_value(self) -> Value:
-        return max(self.values)
-
     def to_json(self) -> list[dict]:
         return [
             {"element": i, "value": fmt_fraction(v)} for i, v in enumerate(self.values)

@@ -45,6 +45,9 @@ from .lamp import LampElem
 
 DEFAULT_STATE_CAP = 10**9
 DEFAULT_GEN_CAP = 10**7
+SET_POWER_STATE_CAP = 200_000
+PAIR_IMAGE_CAP = 4_000_000
+TRIANGLE_PAIR_CAP = 300_000_000
 BINARY_MAGIC = b"WNBF1\n"
 UNREACHED = 255  # uint8 distance sentinel; no level may reach it
 
@@ -83,10 +86,9 @@ class DenseCode:
 class TruncatedGroup:
     """The full finite truncation with dense integer element indices.
 
-    Provides the same arithmetic surface as the permutation groups (``mul``,
-    ``inv``, ``conj``, ``identity_index``, ``__len__``) so norm tables and
-    validators work unchanged, plus codecs to and from explicit elements.
-    The base identity must be element 0, so the identity has code 0.
+    Codecs to and from explicit elements (whose products are ``LampElem``'s)
+    and the tables of the batch kernel below.  The base identity must be
+    element 0, so the identity has code 0.
     """
 
     def __init__(
@@ -103,7 +105,6 @@ class TruncatedGroup:
             raise CapExceededError(
                 f"truncation has {self.code.order} states, over the cap {state_cap}"
             )
-        self.identity_index = 0
 
     def __len__(self) -> int:
         return self.code.order
@@ -124,24 +125,6 @@ class TruncatedGroup:
         return LampElem.make(
             self.base, {j - n: d for j, d in enumerate(digits)}, shift, n
         )
-
-    def mul(self, c1: int, c2: int) -> int:
-        w = self.code.width
-        d1, k1 = self.code.decode_parts(c1)
-        d2, k2 = self.code.decode_parts(c2)
-        table = self.base._mul_table
-        out = [table[d1[j]][d2[(j + k1) % w]] for j in range(w)]
-        return self.code.encode_parts(out, k1 + k2)
-
-    def inv(self, c: int) -> int:
-        w = self.code.width
-        d, k = self.code.decode_parts(c)
-        inv = self.base._inv_table
-        out = [inv[d[(j - k) % w]] for j in range(w)]
-        return self.code.encode_parts(out, -k)
-
-    def conj(self, c: int, by: int) -> int:
-        return self.mul(self.mul(self.inv(by), c), by)
 
     @cached_property
     def np_tables(self) -> dict:
@@ -287,7 +270,10 @@ def _conjugates(group: TruncatedGroup, codes: np.ndarray, by_codes: Sequence[int
     mul_rows = group.np_tables["mul_rows"]
     mulT_rows = group.np_tables["mulT_rows"]
     parts = [
-        (group.code.decode_parts(group.inv(y)), group.code.decode_parts(y)[0])
+        (
+            group.code.decode_parts(group.encode(group.decode(y).inverse())),
+            group.code.decode_parts(y)[0],
+        )
         for y in by_codes
     ]
     for pos, k, digits in _shift_blocks(group, codes):
@@ -466,15 +452,13 @@ def bfs_norms(
 # -- independent oracle: naive ball growth ---------------------------------------
 
 
-def set_power_norms(
-    base: FiniteGroup, window: int, state_cap: int = 200_000
-) -> dict[LampElem, int]:
+def set_power_norms(base: FiniteGroup, window: int) -> dict[LampElem, int]:
     """Distances by naive ball growth B_{m+1} = B_m . Sbar on explicit elements.
 
     Pure-Python second oracle, independent of the dense coding and of numpy.
     """
     order = len(base) ** (2 * window + 1) * (2 * window + 1)
-    if order > state_cap:
+    if order > SET_POWER_STATE_CAP:
         raise CapExceededError(f"{order} states is over the set-power cap")
     gens = enumerate_Sbar(base, window)
     ident = LampElem.identity(base, window)
@@ -588,10 +572,7 @@ def factor_image(
 
 
 def pm_pair_image(
-    base: FiniteGroup,
-    vector_positions: Sequence[int],
-    order: str,
-    pair_cap: int = 4_000_000,
+    base: FiniteGroup, vector_positions: Sequence[int], order: str
 ) -> set[tuple[tuple[int, int], ...]]:
     """Support tuples of all two-vector mixed products over a vector window.
 
@@ -599,12 +580,12 @@ def pm_pair_image(
     ``vector_positions`` (digits and identity as in ``factor_image``) in the
     given order ("-+" is the minus-factor first).  Base-|P| digit j of the
     |P|^k x |P|^k code matrix is mul[left[:, j], right[:, j]]; at most 2k
-    digits, so int32 codes under the default ``pair_cap``.
+    digits, so int32 codes under ``PAIR_IMAGE_CAP``.
     """
     if order not in ("-+", "+-"):
         raise ValueError("order must be '-+' or '+-'")
     b = len(base)
-    if (b ** len(vector_positions)) ** 2 > pair_cap:
+    if (b ** len(vector_positions)) ** 2 > PAIR_IMAGE_CAP:
         raise CapExceededError("pair enumeration over this window is too large")
     first_sign = -1 if order == "-+" else 1
     span, left = _factor_digits(base, vector_positions, first_sign)
@@ -652,9 +633,7 @@ def validate_symmetry(result: BfsResult) -> bool:
     return all((d[inv] == d[pos]).all() for pos, inv in _inverses(result.group, codes))
 
 
-def validate_triangle_layers(
-    result: BfsResult, pair_cap: int = 300_000_000
-) -> bool:
+def validate_triangle_layers(result: BfsResult) -> bool:
     """Triangle inequality via layer products; False unless also invariant.
 
     Checks layer_i * layer_j inside ball_{i+j} for every pair with
@@ -677,7 +656,7 @@ def validate_triangle_layers(
         for j, right in layers.items():
             if i + j >= diameter:
                 continue
-            if len(reps) * right.size > pair_cap:
+            if len(reps) * right.size > TRIANGLE_PAIR_CAP:
                 raise CapExceededError(
                     f"layer pair ({i},{j}) needs {len(reps) * right.size} products"
                 )

@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .groups import FiniteGroup
-from .norms import NormTable, fmt_fraction, scale_to_integers
+from .norms import NormTable, fmt_fraction, parse_fraction, scale_to_integers
 
 Symbol = str  # one of "<", "=", ">"
 
@@ -56,23 +56,32 @@ class WeightFn:
 
     @staticmethod
     def from_json(group: FiniteGroup, doc: Mapping) -> "WeightFn":
-        """Parse :meth:`to_json` output; ValueError if any row is missing, has
-        the wrong length or a symbol outside <, =, >, or if the thresholds are
-        not strictly increasing or lack 0."""
-        thresholds = tuple(Fraction(q) for q in doc["thresholds"])
+        """Parse :meth:`to_json` output; ValueError unless ``doc`` is an object
+        whose "thresholds" (integers or strings such as "3/2") increase strictly
+        and include 0, and whose "rows" give each element one of <, =, > per
+        threshold."""
+        if not isinstance(doc, Mapping) or not {"thresholds", "rows"} <= doc.keys():
+            raise ValueError("a weight function needs 'thresholds' and 'rows'")
+        raw, rows_doc = doc["thresholds"], doc["rows"]
+        if not isinstance(raw, list) or not isinstance(rows_doc, Mapping):
+            raise ValueError("'thresholds' must be a list and 'rows' an object")
+        for q in raw:
+            if type(q) not in (int, str):
+                raise ValueError(f"threshold {q!r} is not an integer or a string")
+        thresholds = tuple(parse_fraction(q) for q in raw)
         if any(a >= b for a, b in zip(thresholds, thresholds[1:])):
             raise ValueError("thresholds must be strictly increasing")
         if 0 not in thresholds:
             raise ValueError("threshold set must contain 0")
         n = len(group)
         rows: list[tuple[Symbol, ...] | None] = [None] * n
-        for key, row in doc["rows"].items():
+        for key, row in rows_doc.items():
             g = int(key)
             if not 0 <= g < n or rows[g] is not None:
                 raise ValueError(f"row key {key!r} is not a new element id in [0, {n})")
             if not isinstance(row, (list, tuple)) or len(row) != len(thresholds):
                 raise ValueError(f"row {key} needs one symbol per threshold")
-            if not set(row) <= {"<", "=", ">"}:
+            if not all(symbol in ("<", "=", ">") for symbol in row):
                 raise ValueError(f"row {key} has a symbol other than <, =, >")
             rows[g] = tuple(row)
         missing = [g for g, row in enumerate(rows) if row is None]

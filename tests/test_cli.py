@@ -236,9 +236,10 @@ def test_inline_group_without_generators_is_structured_error(capsys):
 
 
 def test_norm_table_non_list_generators_is_structured_error(capsys):
-    code, out, _ = run_cli(capsys, "norm", "table", "--group", "S3", "--gens", "[5]")
-    assert code == 2
-    assert "list of permutations" in json.loads(out)["error"]
+    for gens in ("[5]", "[[true, false, 2]]"):
+        code, out, _ = run_cli(capsys, "norm", "table", "--group", "S3", "--gens", gens)
+        assert code == 2
+        assert "list of permutations" in json.loads(out)["error"]
 
 
 @pytest.mark.parametrize(
@@ -247,6 +248,8 @@ def test_norm_table_non_list_generators_is_structured_error(capsys):
         ('{"degree": 3, "generators": 5}', "list of permutations"),
         ('{"degree": 3, "generators": [[1, 0, [2]]]}', "list of permutations"),
         ('{"degree": [3], "generators": [[1, 0, 2]]}', "degree"),
+        ('{"degree": 2, "generators": [[true, false]]}', "list of permutations"),
+        ('{"degree": true, "generators": [[0]]}', "degree"),
     ],
 )
 def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message):
@@ -264,6 +267,12 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
         ("norm", "eval", "--element", '{"mode":"truncated"}'),
         ("norm", "eval", "--element", '{"shift":[1]}'),
         ("norm", "eval", "--element", '{"mode":{"truncated":true}}'),
+        ("norm", "eval", "--element",
+         '{"support":{"1":[1,2,0,3,4],"01":[2,0,1,3,4]}}'),
+        ("norm", "eval", "--element",
+         '{"support":{"1":[0,1,2,3,4],"01":[2,0,1,3,4]}}'),
+        ("norm", "eval", "--element",
+         '{"mode":{"truncated":2},"support":{"1":[0,1,2,3,4],"-4":[2,0,1,3,4]}}'),
         ("almost-hom", "verify", "--k", "[5]", "--q", "0,1"),
         ("almost-hom", "verify", "--k", "{}", "--q", "0,1"),
         ("almost-hom", "verify", "--k", '[{"mode":{"truncated":2}}]', "--q", "0,1"),
@@ -281,6 +290,9 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
         "mode-string",
         "shift-list",
         "window-bool",
+        "support-duplicate-index",
+        "support-duplicate-index-identity-value",
+        "support-duplicate-index-mod-window",
         "k-entry-int",
         "k-object",
         "k-truncated",

@@ -141,12 +141,34 @@ def test_geodesic_support_bounds(a5):
                 assert s.support_indices()[-1] <= hi
 
 
-def test_truncated_norm_basics(a5):
+def test_truncated_norm_basics(a5, s3):
     assert norm_truncated(LampElem.t_power(a5, 1, window=4)) == 1
     assert norm_truncated(LampElem.t_power(a5, 9, window=4)) == 0  # t^(2n+1) = 1
     assert norm_truncated(LampElem.single(a5, 2, 7, window=4)) == 1
     with pytest.raises(ValueError):
         norm_truncated(LampElem.t_power(a5, 1, window=1), mode="theory")
+    with pytest.raises(ValueError, match="S1"):
+        norm_truncated(LampElem.t_power(s3, 1, window=3), mode="theory")
+
+
+def test_only_theory_mode_checks_the_base():
+    # "auto" and "oracle" return the theory value without running S1-S4, and
+    # geodesics at shift 0 and +-1 never reach the S1+S2 builder of shift +-2
+    a5 = builtin_group("A5")
+    rng = random.Random(6)
+    elems = [rand_elem(rng, a5, max_w=6, max_shift=1, window=4) for _ in range(200)]
+    u1 = a5.index[perm_from_cycles(5, [(0, 1), (2, 3)])]
+    u2 = a5.index[perm_from_cycles(5, [(0, 1, 2, 3, 4)])]
+    elems.append(LampElem.make(a5, {0: u1, 1: u2, 2: u2}, 0, 4))  # norm 3
+    values = [norm_truncated(g, mode="auto") for g in elems]
+    assert values == [norm_truncated(g, mode="oracle") for g in elems]
+    for g, value in zip(elems, values):
+        geo = geodesic(g)
+        assert len(geo) == value and check_geodesic(geo)
+    assert {1, 2, 3} <= set(values)
+    assert a5._statement_reports == {}
+    assert values == [norm_truncated(g, mode="theory") for g in elems]
+    assert set(a5._statement_reports) == {"S1", "S2", "S3", "S4"}
 
 
 def test_truncated_matches_infinite_inside_margins(a5):

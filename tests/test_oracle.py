@@ -76,19 +76,24 @@ def test_codec_round_trip(s3):
         assert group.encode(elem) == code
         seen.add(code)
     assert len(seen) > 300
-    assert group.identity_index == 0
     assert group.decode(0).is_identity()
 
 
+def _code_product(group, c1, c2):
+    return group.encode(group.decode(c1).mul(group.decode(c2)))
+
+
 def test_code_arithmetic_matches_elements(s3):
+    # the batch kernel's products and inverses against LampElem's law
     group = TruncatedGroup(s3, 1)
     rng = random.Random(1)
     for _ in range(300):
         c1, c2 = rng.randrange(len(group)), rng.randrange(len(group))
-        assert group.mul(c1, c2) == group.encode(
-            group.decode(c1).mul(group.decode(c2))
-        )
-        assert group.inv(c1) == group.encode(group.decode(c1).inverse())
+        blocks = list(oracle._shift_blocks(group, np.array([c1], dtype=np.int64)))
+        [(_, prods)] = oracle._times(group, blocks, c2)
+        assert int(prods[0]) == _code_product(group, c1, c2)
+        [(_, inv)] = oracle._inverses(group, np.array([c1], dtype=np.int64))
+        assert int(inv[0]) == group.encode(group.decode(c1).inverse())
 
 
 def test_batch_helpers(s3):
@@ -97,13 +102,16 @@ def test_batch_helpers(s3):
     inv = np.empty_like(codes)
     for pos, block in oracle._inverses(group, codes):
         inv[pos] = block
-    assert all(int(inv[c]) == group.inv(int(c)) for c in codes[::17])
+    for c in codes[::17]:
+        assert int(inv[c]) == group.encode(group.decode(int(c)).inverse())
     by = (123, 124, 125)  # one conjugator per shift residue
     conj = np.empty((len(by), codes.size), dtype=np.int64)
     for pos, i, block in oracle._conjugates(group, codes, by):
         conj[i, pos] = block
     for i, y in enumerate(by):
-        assert all(int(conj[i, c]) == group.conj(int(c), y) for c in codes[::17])
+        for c in codes[::17]:
+            x = group.decode(int(c))
+            assert int(conj[i, c]) == group.encode(x.conjugate(group.decode(y)))
 
 
 def test_bfs_matches_set_power_oracle(s3, s3_bfs):
@@ -184,7 +192,7 @@ def test_standard_generators_generate(s3, s3_bfs):
             nxt = []
             for x in frontier:
                 for s in gens:
-                    y = group.mul(x, s)
+                    y = _code_product(group, x, s)
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -276,7 +284,8 @@ def test_class_labels_are_class_minima(s3_bfs):
     rng = random.Random(3)
     for _ in range(40):
         x, y = rng.randrange(len(group)), rng.randrange(len(group))
-        assert labels[group.conj(x, y)] == labels[x]
+        conj = group.decode(x).conjugate(group.decode(y))
+        assert labels[group.encode(conj)] == labels[x]
 
 
 @pytest.mark.parametrize(
@@ -440,7 +449,7 @@ def test_pm_pair_image_matches_pair_loop(request, name, width, order):
 
 def test_pm_pair_image_cap(s3):
     with pytest.raises(CapExceededError):
-        pm_pair_image(s3, (1, 2, 3, 4), "-+", pair_cap=6**8 - 1)
+        pm_pair_image(s3, (1, 2, 3, 4, 5), "-+")  # 6^10 pairs
 
 
 def test_exhaustive_oracles_use_the_base_identity():

@@ -140,22 +140,51 @@ def test_triangle_skip_accounting(s3_word_table):
     assert report.evaluated["triangle_instances"] > 0
 
 
+def _in_place(change):
+    """An edit that changes the document in place and returns it."""
+
+    def edit(doc):
+        change(doc)
+        return doc
+
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda d: d["rows"].pop("4"), "missing"),
-        (lambda d: d["rows"]["2"].pop(), "one symbol per threshold"),
-        (lambda d: d["rows"]["1"].__setitem__(0, "<="), "symbol other than"),
-        (lambda d: d.__setitem__("thresholds", ["0/1", "2/1", "1/1"]), "increasing"),
-        (lambda d: d.__setitem__("thresholds", ["0/1", "1/1", "1/1"]), "increasing"),
-        (lambda d: d.__setitem__("thresholds", ["1/2", "1/1", "2/1"]), "contain 0"),
-        (lambda d: d["rows"].__setitem__("6", d["rows"]["5"]), "element id"),
+        (_in_place(lambda d: d["rows"].pop("4")), "missing"),
+        (_in_place(lambda d: d["rows"]["2"].pop()), "one symbol per threshold"),
+        (_in_place(lambda d: d["rows"]["1"].__setitem__(0, "<=")), "symbol other than"),
+        (_in_place(lambda d: d["rows"]["1"].__setitem__(0, ["<"])), "symbol other than"),
+        (lambda d: {**d, "thresholds": ["0/1", "2/1", "1/1"]}, "increasing"),
+        (lambda d: {**d, "thresholds": ["0/1", "1/1", "1/1"]}, "increasing"),
+        (lambda d: {**d, "thresholds": ["1/2", "1/1", "2/1"]}, "contain 0"),
+        (_in_place(lambda d: d["rows"].__setitem__("6", d["rows"]["5"])), "element id"),
+        (lambda d: {**d, "thresholds": ["0", "1", "1/0"]}, "zero denominator"),
+        (lambda d: {**d, "thresholds": ["0", True, "2"]}, "not an integer or a string"),
+        (lambda d: {"rows": d["rows"]}, "needs 'thresholds' and 'rows'"),
+        (lambda d: [d], "needs 'thresholds' and 'rows'"),
+        (lambda d: {**d, "rows": list(d["rows"].values())}, "'rows' an object"),
     ],
-    ids=["missing-row", "row-length", "symbol", "unsorted", "duplicate", "no-zero", "bad-key"],
+    ids=[
+        "missing-row",
+        "row-length",
+        "symbol",
+        "symbol-list",
+        "unsorted",
+        "duplicate",
+        "no-zero",
+        "bad-key",
+        "zero-denominator",
+        "threshold-bool",
+        "no-thresholds",
+        "list-document",
+        "list-rows",
+    ],
 )
 def test_weightfn_from_json_rejects_malformed(s3, s3_word_table, edit, message):
-    doc = from_norm(s3_word_table, [0, 1, 2]).to_json()
-    edit(doc)
+    doc = edit(from_norm(s3_word_table, [0, 1, 2]).to_json())
     with pytest.raises(ValueError, match=message):
         WeightFn.from_json(s3, doc)
 
