@@ -20,7 +20,7 @@ from .groups import (
     parse_group_spec,
     perm_from_cycles,
 )
-from .lamp import LampElem, SupportStats, in_Sbar, in_single_support, in_Tminus, in_Tplus
+from .lamp import LampElem, in_Sbar, in_single_support, in_Tminus, in_Tplus
 from .norms import (
     NormTable,
     ValidationReport,

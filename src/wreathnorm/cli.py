@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--element", required=True, help="element JSON")
     p.add_argument("--group", default="A5")
     p.add_argument("--truncated", type=int, default=None, help="reinterpret in this window")
-    p.add_argument("--mode", default="auto", choices=["auto", "theory", "oracle"])
+    p.add_argument("--mode", default="oracle", choices=["oracle", "theory"])
     add_report_out(p)
     p.set_defaults(func=cmd_norm_eval, command_path="norm eval")
     p = norm_sub.add_parser("table", help="word-norm table over a conjugacy closure")

@@ -131,13 +131,6 @@ class CommWitness:
         head = {"k": val} if tag == "k" else {"pm": val}
         return {"kind": head, "vectors": [v.to_json() for v in self.vectors]}
 
-    @staticmethod
-    def from_json(base: FiniteGroup, doc: dict) -> "CommWitness":
-        head = doc["kind"]
-        kind = ("k", int(head["k"])) if "k" in head else ("pm", str(head["pm"]))
-        vectors = tuple(LampElem.from_json(base, v) for v in doc["vectors"])
-        return CommWitness(kind, vectors)
-
 
 def factor_plus(g: LampElem) -> LampElem:
     """g . alpha(g^-1), the conjugate-of-t torsion factor."""

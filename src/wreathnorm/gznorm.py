@@ -17,16 +17,16 @@ One function, :func:`case_norm`, holds this table; its only parameter is the
 predicate for the mixed-commutator row.  Three predicates fill it:
 
 * ``is_pm_commutator`` in the infinite group (:func:`norm_gz`);
-* the cyclic ``pm_commutator_truncated`` on truncations
-  (:func:`norm_truncated`), the backward pass of the class walk;
+* ``pm_walk_hits`` on truncations (:func:`norm_truncated`), the backward
+  pass of the cyclic class walk;
 * in the acceptance gate, the acyclic predicate on the canonical
   linearization.  It isolates nothing: on S3 w1, A4 w1 and S3 w2 its
   disagreements with BFS are exactly the cyclic table's, and both show only
   the |m| = 2 rows, where the table lacks the coset term of ROADMAP item 1.
 
 The weight-3 test uses the resolved argument order of xi
-(``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations every mode of
-:func:`norm_truncated` returns one value, its shift-0 row decided by the class
+(``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations both modes of
+:func:`norm_truncated` return one value, its shift-0 row decided by the class
 walk of ``commutators`` for every support, full or with a gap.  Only "theory"
 mode checks the hypotheses under which it is the exact norm: window size >= 7,
 mirroring the window margins of the almost-homomorphism construction, and a
@@ -95,14 +95,14 @@ def norm_gz(g: LampElem) -> int:
     return case_norm(g, is_pm_commutator)
 
 
-def norm_truncated(g: LampElem, mode: str = "auto") -> int:
+def norm_truncated(g: LampElem, mode: str = "oracle") -> int:
     """Case-table norm on a truncation, with cyclic predicates.
 
-    Every mode returns the same value.  "theory" first checks the hypotheses
+    Both modes return the same value.  "theory" first checks the hypotheses
     under which it is the exact norm for elements within the window margins
     of the truncation map (window size >= 7, base satisfying S1-S4) and raises
-    ValueError if one fails; "oracle" and "auto" check nothing, and there the
-    value is advisory (BFS is authoritative).
+    ValueError if one fails; "oracle" checks nothing, and there the value is
+    advisory (BFS is authoritative).
     """
     if g.window is None:
         raise ValueError("norm_truncated expects a truncated element")
@@ -110,18 +110,9 @@ def norm_truncated(g: LampElem, mode: str = "auto") -> int:
         if 2 * g.window + 1 < 7:
             raise ValueError("theory mode needs window size >= 7")
         require_statements(g.base, ("S1", "S2", "S3", "S4"))
-    elif mode not in ("auto", "oracle"):
-        raise ValueError("mode must be 'auto', 'theory' or 'oracle'")
-    return case_norm(g, pm_commutator_truncated)
-
-
-def pm_commutator_truncated(h: LampElem) -> bool:
-    """Mixed-commutator test with cyclic index arithmetic: whether the class
-    walk of ``commutators`` hits over the window, for any support; its
-    backward pass alone decides."""
-    if h.window is None or h.shift != 0:
-        raise ValueError("expects a shift-0 truncated element")
-    return pm_walk_hits(h)
+    elif mode != "oracle":
+        raise ValueError("mode must be 'theory' or 'oracle'")
+    return case_norm(g, pm_walk_hits)
 
 
 # -- geodesics -----------------------------------------------------------------
@@ -220,7 +211,7 @@ def truncate_map(g: LampElem, window: int, bound: int) -> LampElem:
     """Send g to the window-truncation if its extent is within bound, else 1."""
     if g.window is not None:
         raise ValueError("truncate_map applies to infinite-mode elements")
-    if g.stats().n_value <= bound:
+    if g.extent() <= bound:
         return LampElem.make(g.base, dict(g.support), g.shift, window)
     return LampElem.identity(g.base, window)
 
@@ -231,7 +222,7 @@ def phi(g: LampElem, big_n: int) -> LampElem:
 
 
 def max_extent(elems: Iterable[LampElem]) -> int:
-    return max((e.stats().n_value for e in elems), default=0)
+    return max((e.extent() for e in elems), default=0)
 
 
 @dataclass

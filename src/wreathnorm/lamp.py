@@ -30,14 +30,6 @@ from .groups import FiniteGroup
 
 
 @dataclass(frozen=True)
-class SupportStats:
-    i_min: int | None
-    i_max: int | None
-    weight: int
-    n_value: int
-
-
-@dataclass(frozen=True)
 class LampElem:
     base: FiniteGroup
     window: int | None  # None = infinite mode, n >= 1 = truncated on {-n..n}
@@ -59,16 +51,21 @@ class LampElem:
         mapping = type(support) is dict or isinstance(support, Mapping)
         items = support.items() if mapping else support
         size, ident = len(base.elements), base.identity_index
+        # a Mapping's keys are distinct, and only truncated mode reduces them
+        distinct = mapping and window is None
         cleaned: dict[int, int] = {}
+        dropped: set[int] = set()  # indices given the identity value
         for idx, val in items:
             if not 0 <= val < size:
                 raise ValueError(f"support value {val} is outside [0, {size})")
             if window is not None:
                 idx = _reduce(idx, window)
-            if idx in cleaned:
+            if not distinct and (idx in cleaned or idx in dropped):
                 raise ValueError(f"duplicate support index {idx}")
             if val != ident:
                 cleaned[idx] = val
+            else:
+                dropped.add(idx)
         if window is not None:
             shift = _reduce(shift, window)
         return LampElem(base, window, shift, tuple(sorted(cleaned.items())))
@@ -161,14 +158,11 @@ class LampElem:
         """Base values in increasing index order."""
         return tuple([v for _, v in self.support])
 
-    def stats(self) -> SupportStats:
+    def extent(self) -> int:
+        """The largest absolute index of the support, or of the shift."""
         if not self.support:
-            return SupportStats(None, None, 0, abs(self.shift))
-        indices = self.support_indices()
-        i_min, i_max = indices[0], indices[-1]
-        return SupportStats(
-            i_min, i_max, len(indices), max(abs(i_min), abs(i_max), abs(self.shift))
-        )
+            return abs(self.shift)
+        return max(abs(self.support[0][0]), abs(self.support[-1][0]), abs(self.shift))
 
     # -- serialization -------------------------------------------------------
 
@@ -196,16 +190,12 @@ class LampElem:
         shift, values = doc.get("shift", 0), doc.get("support", {})
         if type(shift) is not int or not isinstance(values, Mapping):
             raise ValueError("element shift must be an integer and support an object")
-        support = {}
+        support = []  # pairs, so make rejects keys such as "1" and "01"
         for key, images in values.items():
             ints = isinstance(images, list) and all(type(x) is int for x in images)
             if not ints or tuple(images) not in base.index:
                 raise ValueError(f"support value {images!r} not in the base group")
-            # keys such as "1" and "01" name one index, whatever their values
-            index = int(key) if window is None else _reduce(int(key), window)
-            if index in support:
-                raise ValueError(f"duplicate support index {index}")
-            support[index] = base.index[tuple(images)]
+            support.append((int(key), base.index[tuple(images)]))
         return LampElem.make(base, support, shift, window)
 
 

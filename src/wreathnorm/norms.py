@@ -66,9 +66,8 @@ def fmt_fraction(v: Value) -> str:
 class NormTable:
     """A total assignment of exact nonnegative values to group elements.
 
-    The induced bi-invariant (pseudo)metric is ``d(g, h) = value(g * h^-1)``;
-    it is derived on demand, never stored.  ``notes`` records normalization
-    steps applied while building the table (e.g. generator symmetrization).
+    ``notes`` records normalization steps applied while building the table
+    (e.g. generator symmetrization).
     """
 
     def __init__(
@@ -93,10 +92,6 @@ class NormTable:
 
     def __len__(self) -> int:
         return len(self.values)
-
-    def distance(self, i: int, j: int) -> Value:
-        g = self.group
-        return self.values[g.mul(i, g.inv(j))]
 
     def kernel(self) -> frozenset[int]:
         return frozenset(i for i, v in enumerate(self.values) if v == 0)

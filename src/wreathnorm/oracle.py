@@ -11,9 +11,10 @@ state carries a class label, the least code in its class.  The class step: for
 X a union of classes, X . S-bar is the union of the classes met by r . S-bar
 for one representative r per class of X, as x = y^-1 r y gives x . S-bar =
 y^-1 (r . S-bar) y.  The BFS takes one class step per level and reads each
-state's distance back through its label; ``SbarContext`` runs the same BFS
-once and answers bounded-norm queries by lookup.  Distance labels are
-convention-free, so runs are deterministic.
+state's distance back through its label.  One ``BfsResult`` holds that
+search: ``bfs_norms`` returns it, and ``bounded_norm`` answers queries by
+lookup into it.  Distance labels are convention-free, so runs are
+deterministic.
 
 The large-table validators are exact reformulations sized for millions of
 states:
@@ -352,12 +353,24 @@ def enumerate_Sbar(
 
 @dataclass
 class BfsResult:
+    """Distances from the identity over the sorted codes of the
+    conjugacy-closed generators of one truncation."""
+
     group: TruncatedGroup
+    gen_codes: np.ndarray  # int64, sorted
     distances: np.ndarray  # uint8; UNREACHED (255) = unreached
     layer_sizes: list[int]
     diameter: int
-    generator_count: int
     elapsed: float = field(default=0.0, compare=False)
+
+    @property
+    def generator_count(self) -> int:
+        return int(self.gen_codes.size)
+
+    @property
+    def ball2(self) -> np.ndarray:
+        """Mask of the states of norm at most 2."""
+        return self.distances <= 2
 
     def norm_of(self, elem: LampElem) -> int:
         return int(self.distances[self.group.encode(elem)])
@@ -373,19 +386,9 @@ class BfsResult:
         }
 
 
-def _check_sbar_classes(labels: np.ndarray, gen_codes: np.ndarray) -> None:
-    """Raise RuntimeError unless the generators form a union of conjugacy
-    classes: a state is a generator iff its class label is one."""
-    in_sbar = np.zeros(labels.size, dtype=bool)
-    in_sbar[gen_codes] = True
-    if not np.array_equal(in_sbar[labels], in_sbar):
-        raise RuntimeError("the generating set is not a union of conjugacy classes")
-
-
-def _class_bfs(
-    group: TruncatedGroup, gen_codes: np.ndarray
-) -> tuple[np.ndarray, int]:
-    """Per-state distances over the generators ``gen_codes``, and the diameter.
+def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResult:
+    """The class BFS of a truncation over its conjugacy-closed generators
+    (``enumerate_Sbar``, at most ``gen_cap`` of them).
 
     Level-synchronized over conjugacy classes, one class step (see the module
     docstring) per level from the representatives of the last layer.  Each
@@ -393,9 +396,18 @@ def _class_bfs(
     are not a union of classes, if a level would reach the UNREACHED
     sentinel, or if states stay unreached.
     """
+    started = time.perf_counter()
+    gens = enumerate_Sbar(group.base, group.window, gen_cap)
+    gen_codes = np.array(sorted(group.encode(s) for s in gens), dtype=np.int64)
+    del gens
     # labels first: no other per-state array is alive while they are built
     labels = group.class_labels
-    _check_sbar_classes(labels, gen_codes)
+    # a union of classes: a state is a generator iff its class label is one
+    in_sbar = np.zeros(labels.size, dtype=bool)
+    in_sbar[gen_codes] = True
+    if not np.array_equal(in_sbar[labels], in_sbar):
+        raise RuntimeError("the generating set is not a union of conjugacy classes")
+    del in_sbar
     gen_blocks = list(_shift_blocks(group, gen_codes))
     class_dist = np.full(len(group), UNREACHED, dtype=np.uint8)  # at representatives
     class_dist[0] = 0
@@ -423,7 +435,15 @@ def _class_bfs(
         raise RuntimeError(
             f"generators failed to reach the whole truncation; {missing} states missing"
         )
-    return distances, level
+    # counted per level: np.bincount would widen the distances to int64
+    return BfsResult(
+        group,
+        gen_codes,
+        distances,
+        [int(np.count_nonzero(distances == lvl)) for lvl in range(level + 1)],
+        diameter=level,
+        elapsed=time.perf_counter() - started,
+    )
 
 
 def bfs_norms(
@@ -434,19 +454,7 @@ def bfs_norms(
 ) -> BfsResult:
     """Exact distances from the identity over the conjugacy-closed generators
     (see ``_class_bfs`` for the search and the errors it raises)."""
-    started = time.perf_counter()
-    group = TruncatedGroup(base, window, state_cap)
-    gens = enumerate_Sbar(base, window, gen_cap)
-    gen_codes = np.array([group.encode(s) for s in gens], dtype=np.int64)
-    distances, diameter = _class_bfs(group, gen_codes)
-    return BfsResult(
-        group,
-        distances,
-        np.bincount(distances, minlength=diameter + 1).tolist(),
-        diameter=diameter,
-        generator_count=len(gens),
-        elapsed=time.perf_counter() - started,
-    )
+    return _class_bfs(TruncatedGroup(base, window, state_cap), gen_cap)
 
 
 # -- independent oracle: naive ball growth ---------------------------------------
@@ -482,26 +490,13 @@ def set_power_norms(base: FiniteGroup, window: int) -> dict[LampElem, int]:
 
 # -- bounded-norm queries over one BFS -----------------------------------------
 
-
-class SbarContext:
-    """Generator codes and the BFS distances of one truncation, for
-    bounded-norm queries."""
-
-    def __init__(self, group: TruncatedGroup):
-        self.group = group
-        gens = enumerate_Sbar(group.base, group.window)
-        self.gen_codes = np.array(sorted(group.encode(s) for s in gens), dtype=np.int64)
-        self.distances, _ = _class_bfs(group, self.gen_codes)
-
-    @property
-    def ball2(self) -> np.ndarray:
-        """Mask of the states of norm at most 2."""
-        return self.distances <= 2
+# The old name of the builder, still called by the benchmark (ROADMAP item 5).
+SbarContext = _class_bfs
 
 
-def bounded_norm(ctx: SbarContext, g: LampElem, r_max: int) -> int | None:
+def bounded_norm(ctx: BfsResult, g: LampElem, r_max: int) -> int | None:
     """Exact norm when it is <= r_max (r_max <= 3), else None.  Raises
-    ValueError if g does not live in the context's truncation."""
+    ValueError if g does not live in the result's truncation."""
     if not 0 <= r_max <= 3:
         raise ValueError("bounded_norm supports r_max <= 3 only")
     d = int(ctx.distances[ctx.group.encode(g)])

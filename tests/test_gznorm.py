@@ -23,7 +23,6 @@ from wreathnorm.gznorm import (
     norm_gz,
     norm_truncated,
     phi,
-    pm_commutator_truncated,
     truncate_map,
     verify_KQ_almost_hom,
 )
@@ -89,6 +88,8 @@ def test_norm_rejects_bad_base_and_mode(s3, a5):
         norm_gz(LampElem.single(a5, 0, 3, window=4))
     with pytest.raises(ValueError):
         norm_truncated(LampElem.single(a5, 0, 3))
+    with pytest.raises(ValueError, match="mode"):
+        norm_truncated(LampElem.single(a5, 0, 3, window=4), mode="auto")
 
 
 def test_norm_triangle_and_invariance_sampled(a5):
@@ -152,15 +153,16 @@ def test_truncated_norm_basics(a5, s3):
 
 
 def test_only_theory_mode_checks_the_base():
-    # "auto" and "oracle" return the theory value without running S1-S4, and
-    # geodesics at shift 0 and +-1 never reach the S1+S2 builder of shift +-2
+    # the default "oracle" mode returns the theory value without running
+    # S1-S4, and geodesics at shift 0 and +-1 never reach the S1+S2 builder of
+    # shift +-2
     a5 = builtin_group("A5")
     rng = random.Random(6)
     elems = [rand_elem(rng, a5, max_w=6, max_shift=1, window=4) for _ in range(200)]
     u1 = a5.index[perm_from_cycles(5, [(0, 1), (2, 3)])]
     u2 = a5.index[perm_from_cycles(5, [(0, 1, 2, 3, 4)])]
     elems.append(LampElem.make(a5, {0: u1, 1: u2, 2: u2}, 0, 4))  # norm 3
-    values = [norm_truncated(g, mode="auto") for g in elems]
+    values = [norm_truncated(g) for g in elems]
     assert values == [norm_truncated(g, mode="oracle") for g in elems]
     for g, value in zip(elems, values):
         geo = geodesic(g)
@@ -192,7 +194,7 @@ def test_truncated_geodesics(a5):
 def test_pm_truncated_full_support_cyclic_search(s3):
     # weight-2 full-window targets don't exist; use window 1 and weight 3
     yes = LampElem.make(s3, {-1: 3, 0: 3, 1: 3}, 0, window=1)
-    result = pm_commutator_truncated(yes)
+    result = pm_walk_hits(yes)
     # cross-check against a brute-force over the tiny truncation
     res = bfs_norms(s3, 1)
     assert result == (res.norm_of(yes) == 2)
@@ -435,7 +437,7 @@ def test_class_walk_with_a_gap_matches_the_acyclic_test(name, window, samples):
         weight = h.weight()
         if not 2 <= weight < len(positions):
             continue
-        mixed = pm_commutator_truncated(h)
+        mixed = pm_walk_hits(h)
         if weight <= 3:
             assert mixed == is_pm_commutator(h)
         else:

@@ -34,9 +34,18 @@ def test_truncated_reduction(s3):
     assert LampElem.t_power(s3, 3, window=1).is_identity()
 
 
-def test_truncated_rejects_collisions(s3):
+def test_truncated_rejects_collisions(s3, a5):
     with pytest.raises(ValueError):
         LampElem.make(s3, {0: 3, 3: 4}, 0, window=1)
+    # two entries naming one reduced index, whatever their values and order
+    for support, window in [
+        ([(1, 0), (1, 5)], None),
+        ([(1, 5), (1, 0)], None),
+        ({1: 0, 6: 5}, 2),
+        ({6: 5, 1: 0}, 2),
+    ]:
+        with pytest.raises(ValueError, match="duplicate support index"):
+            LampElem.make(a5, support, 0, window)
 
 
 @pytest.mark.parametrize("value", [999, 60, -1])
@@ -102,15 +111,12 @@ def test_conjugate_of_torsion_stays_torsion(a5):
 
 
 def test_stats(a5):
-    t3 = LampElem.t_power(a5, 3)
-    s = t3.stats()
-    assert (s.weight, s.n_value, s.i_min, s.i_max) == (0, 3, None, None)
-    e = LampElem.make(a5, {-2: 5, 5: 9}, 1)
-    s = e.stats()
-    assert (s.i_min, s.i_max, s.weight, s.n_value) == (-2, 5, 2, 5)
+    assert LampElem.t_power(a5, 3).extent() == 3
+    assert LampElem.make(a5, {-2: 5, 5: 9}, 1).extent() == 5
+    assert LampElem.make(a5, {-6: 5, 2: 9}, 1).extent() == 6
     # inverse of a torsion element keeps the same support window
     x = LampElem.make(a5, {-2: 5, 5: 9}, 0)
-    assert x.inverse().stats().n_value == x.stats().n_value
+    assert x.inverse().extent() == x.extent() == 5
 
 
 def test_membership_basics(a5):

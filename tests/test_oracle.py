@@ -156,6 +156,13 @@ def test_a5_bfs_shape_and_validators(a5_bfs):
 
 def test_bounded_norm_full_agreement_s3(s3, s3_bfs):
     ctx = SbarContext(s3_bfs.group)
+    # one builder: the old context name returns the BfsResult of bfs_norms
+    assert ctx.gen_codes.tobytes() == s3_bfs.gen_codes.tobytes()
+    assert ctx.distances.tobytes() == s3_bfs.distances.tobytes()
+    assert ctx.layer_sizes == s3_bfs.layer_sizes
+    assert (np.diff(ctx.gen_codes) > 0).all()
+    encoded = sorted(ctx.group.encode(s) for s in enumerate_Sbar(s3, 1))
+    assert ctx.gen_codes.tolist() == encoded
     for r_max in range(4):
         for code in range(len(s3_bfs.group)):
             expected = int(s3_bfs.distances[code])
