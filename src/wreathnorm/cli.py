@@ -216,8 +216,15 @@ def cmd_selftest(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which ``main`` reports; subparsers inherit it."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wreathnorm",
         description="Invariant word norms on finite groups and shift extensions",
     )
@@ -299,9 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (
         ValueError,

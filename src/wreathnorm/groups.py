@@ -70,8 +70,9 @@ class FiniteGroup:
     """A fully enumerated permutation group with integer element indices.
 
     ``elements[i]`` is the i-th permutation, ``index[p]`` inverts that map and
-    the identity always sits at index 0.  Arithmetic on indices (``mul``,
-    ``inv``, ``conj``) is table-backed.
+    the identity sits at ``identity_index`` (0 when ``generate_group`` built
+    the group).  Arithmetic on indices (``mul``, ``inv``, ``conj``) is
+    table-backed.
     """
 
     def __init__(self, elements: Sequence[Perm], generators: Sequence[Perm] = ()):

@@ -102,9 +102,11 @@ class NormTable:
         ]
 
     @classmethod
-    def from_json(cls, group: FiniteGroup, doc: Iterable[dict]) -> "NormTable":
+    def from_json(cls, group: FiniteGroup, doc: list) -> "NormTable":
         """One ``{"element": id, "value": v}`` row per element: ids are JSON
         integers in [0, |G|), values integers or strings such as "3/2"."""
+        if not isinstance(doc, list):
+            raise ValueError("norm table must be a list of rows")
         values: list[Value] = [Fraction(0)] * len(group)
         seen = [False] * len(group)
         for row in doc:

@@ -5,19 +5,20 @@ classes of u2^-1 and u1^-1, read from the group's one class table
 (``FiniteGroup.conj_classes``, which memoizes class products).  Class products
 commute as sets, so xi is fully symmetric in its three arguments.
 
-Every statement is a class function, and every checker scans classes: S3 and
-S4 range over class triples and pairs, S1 and S2 range a1 over class minima.
-The S1/S2 witness is still the first failure of the scan over all elements in
-element order.  Proof: conjugating either equation by g gives the same
-equation in a1^g, a3^g and the conjugated unknowns, so the reachable set of
-a1^g (with a3^g) is the g-conjugate of that of a1 (with a3), and one is the
-whole group iff the other is.  The a1 that fail (for some a3) therefore form a
-union of classes, so the smallest of them is the minimum of its class.  Class
-minima ascend with the class id, so it is also the first failing
-representative, and the a3 and a2 of the witness are computed from it exactly
-as before.  At a1 = 1, S1 says that every element is a commutator, which
-O. Ore proved for A_n (Proc. AMS 2, 1951).  ``_check_S3_raw`` and ``xi_naive``
-evaluate raw tuples and survive as slow oracles for cross-checks.
+Every checker reads ``class_product`` only.  Let C be the set of commutators
+x^-1 y x y^-1 and K(x) the class of x.  C is the union over x of x^-1 K(x),
+and, being closed under conjugation, the union over classes c of
+``class_product(K(c^-1), c)``.  S1: with y' = a1^-1 y, x^-1 a1^-1 y x y^-1 =
+(x^-1 y' x y'^-1) a1^-1, so a1 reaches C a1^-1, the whole group iff C is.
+S2: conjugating its equation by a3 gives S1's, a3^-1 R2(a1, a3) a3 = R1(a1).
+As encoded, S1 and S2 are thus one statement, C = P (O. Ore proved it for
+A_n, Proc. AMS 2, 1951), with witnesses (1, min(P - C)) and (1, min(P - C), 1):
+``generate_group`` lists the identity first, so these are the first failures
+of the scans over a1 (and a3) in element order.  S3: a product of two classes
+is a union of classes, so the triple product is the union of
+``class_product(d, c3)`` over the classes d in the pair product.
+``_check_S3_raw`` and ``xi_naive`` evaluate raw tuples and survive as slow
+oracles for cross-checks.
 
 ``check_all``, ``statement_holds``, ``require_statements`` and
 ``satisfies_s_conditions`` share one report cache on the group, so each
@@ -72,42 +73,30 @@ def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
     return False
 
 
-def check_S1(group: FiniteGroup) -> PropReport:
-    """S1: every a2 equals x^-1 a1^-1 y x y^-1 for every a1; a1 scans class minima."""
+def _first_non_commutator(group: FiniteGroup) -> int | None:
+    """min(P - C) for the commutator set C, or None when C = P."""
     table = group.conj_classes
-    full = set(range(len(group)))
-    for a1 in table.representatives():
-        ia1 = group.inv(a1)
-        reachable: set[int] = set()  # union over x of x^-1 a1^-1 * class(x)
-        for x in range(len(group)):
-            row = group._mul_table[group.mul(group.inv(x), ia1)]
-            reachable.update(row[c] for c in table.classes[table.class_of[x]])
-        if reachable != full:
-            return PropReport("S1", False, (a1, min(full - reachable)))
-    return PropReport("S1", True, None)
+    commutators: set[int] = set()
+    for c, rep in enumerate(table.representatives()):
+        commutators.update(class_product(group, table.class_of[group.inv(rep)], c))
+    return next((a for a in range(len(group)) if a not in commutators), None)
+
+
+def check_S1(group: FiniteGroup) -> PropReport:
+    """S1: every a2 equals x^-1 a1^-1 y x y^-1 for every a1, i.e. C = P."""
+    a2 = _first_non_commutator(group)
+    if a2 is None:
+        return PropReport("S1", True, None)
+    return PropReport("S1", False, (group.identity_index, a2))
 
 
 def check_S2(group: FiniteGroup) -> PropReport:
-    """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3.
-
-    a1 scans class minima only; the module docstring proves that exact.
-    """
-    table = group.conj_classes
-    n = len(group)
-    full = set(range(n))
-    for a1 in table.representatives():
-        ia1 = group.inv(a1)
-        for a3 in range(n):
-            ia3 = group.inv(a3)
-            reachable: set[int] = set()
-            for u in range(n):
-                w = group.mul_many((a3, u, ia1, ia3))
-                row = group._mul_table[w]
-                cls = table.classes[table.class_of[group.inv(u)]]
-                reachable.update(row[c] for c in cls)
-            if reachable != full:
-                return PropReport("S2", False, (a1, min(full - reachable), a3))
-    return PropReport("S2", True, None)
+    """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3, i.e. C = P."""
+    a2 = _first_non_commutator(group)
+    if a2 is None:
+        return PropReport("S2", True, None)
+    ident = group.identity_index
+    return PropReport("S2", False, (ident, a2, ident))
 
 
 def check_S3(group: FiniteGroup) -> PropReport:
@@ -119,12 +108,11 @@ def check_S3(group: FiniteGroup) -> PropReport:
     full = frozenset(range(len(group))) - {ident}
     for c1 in nontrivial:
         for c2 in nontrivial:
-            pair = class_product(group, c1, c2)
+            pair = {table.class_of[w] for w in class_product(group, c1, c2)}
             for c3 in nontrivial:
                 covered = set()
-                for w in pair:
-                    row = group._mul_table[w]
-                    covered.update(row[z] for z in table.classes[c3])
+                for d in pair:
+                    covered.update(class_product(group, d, c3))
                 if not full <= covered:
                     u4 = min(full - covered)
                     return PropReport("S3", False, (reps[c1], reps[c2], reps[c3], u4))

@@ -143,12 +143,18 @@ def test_axioms_validate_inline(capsys, s3_word_table):
         (lambda doc: doc[:1] + [{"element": 1, "value": None}] + doc[2:], "string"),
         (lambda doc: doc[:1] + [{"element": 1, "value": [1]}] + doc[2:], "string"),
         (lambda doc: doc[:1] + [{"element": 1, "value": 1e400}] + doc[2:], "string"),
+        (lambda doc: None, "list of rows"),
+        (lambda doc: 5, "list of rows"),
     ],
 )
 def test_axioms_validate_malformed_table_is_structured_error(
-    capsys, s3_word_table, edit, message
+    capsys, tmp_path, s3_word_table, edit, message
 ):
     table_json = json.dumps(edit(s3_word_table.to_json()))
+    if not table_json.startswith("["):  # --table reads only a list inline
+        path = tmp_path / "table.json"
+        path.write_text(table_json)
+        table_json = str(path)
     code, out, _ = run_cli(
         capsys,
         "axioms",
@@ -282,6 +288,11 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
         ("axioms", "validate", "--group", "S3", "--table",
          json.dumps([{"element": i, "value": str(min(i, 1))} for i in range(6)]),
          "--thresholds", "0,1/0"),
+        ("norm", "eval", "--element", "{}", "--truncated", "4", "--mode", "auto"),
+        ("oracle", "bfs", "--group", "S3", "--window", "x"),
+        ("oracle", "bfs", "--group", "S3"),
+        ("props",),
+        (),
     ],
     ids=[
         "support-value-int",
@@ -299,6 +310,11 @@ def test_inline_group_malformed_shape_is_structured_error(capsys, spec, message)
         "table-missing-file",
         "q-zero-denominator",
         "thresholds-zero-denominator",
+        "argparse-bad-choice",
+        "argparse-bad-int",
+        "argparse-missing-argument",
+        "argparse-missing-subcommand",
+        "argparse-missing-command",
     ],
 )
 def test_malformed_element_and_input_is_structured_error(capsys, argv):
@@ -308,7 +324,8 @@ def test_malformed_element_and_input_is_structured_error(capsys, argv):
 
 
 # sha256 of `props check` stdout as recorded when S1 and S2 still scanned every
-# element as a1; the witnesses are part of the CLI contract and must not move.
+# element as a1 (A6: every a1 class minimum and every a3); the witnesses are
+# part of the CLI contract and must not move.
 PROPS_CHECK_SHA256 = {
     "S3": "2aa9c447bc83f8e108d841c04c0be8b019b4e828f390bd91e89fe1b45b19db12",
     "A4": "114a3e1a06ffd3b8b2c4dd6c6ca7b4f0da63e45b43e33636bd42fe287519d87e",
@@ -318,6 +335,8 @@ PROPS_CHECK_SHA256 = {
         "f59c28d55333391d2ff0e50c8ad52e9a01e2b227147689441fdf369b96fe687d",
     '{"degree": 5, "generators": [[1, 2, 3, 4, 0], [0, 2, 4, 1, 3]]}':
         "2f4c09b37260a99d8e6831f6e4919b86e290d83bc2cad61902b4ddd491e1aae3",
+    '{"degree": 6, "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]}':
+        "510e7e52393b7cf9219d12c6ef651af7480774c0657bb75326a7c479c21a2578",
 }
 
 

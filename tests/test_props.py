@@ -8,6 +8,7 @@ import pytest
 from wreathnorm import props
 from wreathnorm.groups import (
     builtin_group,
+    class_product,
     conjugacy_classes,
     parse_group_spec,
     perm_from_cycles,
@@ -86,18 +87,33 @@ def test_class_minimum_scans_match_element_scans(spec):
 
 
 def test_s1_s2_reachable_sets_are_conjugation_equivariant(s4):
-    # the lemma behind the class-minimum scans: conjugating a1 (and a3 with
-    # it) by g conjugates the reachable set by g
+    # conjugating a1 (and a3 with it) by g conjugates the reachable set by g;
+    # and the lemma behind check_S1/check_S2: R1(a1) = C a1^-1 and
+    # a3^-1 R2(a1, a3) a3 = R1(a1), with C the union of K(c^-1) K(c)
+    table = s4.conj_classes
+    commutators = {
+        s4.mul_many((s4.inv(x), y, x, s4.inv(y)))
+        for x in range(len(s4))
+        for y in range(len(s4))
+    }
+    assert commutators == set().union(
+        *(
+            class_product(s4, table.class_of[s4.inv(min(members))], c)
+            for c, members in enumerate(table.classes)
+        )
+    )
     rng = random.Random(6)
     for _ in range(20):
         a1, a3, g = (rng.randrange(len(s4)) for _ in range(3))
-        conj = lambda items: {s4.conj(i, g) for i in items}
-        assert _s1_reachable_reference(s4, s4.conj(a1, g)) == conj(
-            _s1_reachable_reference(s4, a1)
-        )
+        conj = lambda items, h: {s4.conj(i, h) for i in items}
+        r1 = _s1_reachable_reference(s4, a1)
+        r2 = _s2_reachable_reference(s4, a1, a3)
+        assert _s1_reachable_reference(s4, s4.conj(a1, g)) == conj(r1, g)
         assert _s2_reachable_reference(
             s4, s4.conj(a1, g), s4.conj(a3, g)
-        ) == conj(_s2_reachable_reference(s4, a1, a3))
+        ) == conj(r2, g)
+        assert r1 == {s4.mul(c, s4.inv(a1)) for c in commutators}
+        assert conj(r2, a3) == r1
 
 
 def test_each_statement_computed_once_per_group(monkeypatch):
