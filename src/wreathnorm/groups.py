@@ -132,9 +132,9 @@ class FiniteGroup:
         return t[t[self._inv_table[j]][i]][j]
 
     def mul_many(self, indices: Iterable[int]) -> int:
-        acc = self.identity_index
+        table, acc = self._mul_table, self.identity_index
         for i in indices:
-            acc = self._mul_table[acc][i]
+            acc = table[acc][i]
         return acc
 
     @cached_property

@@ -12,6 +12,13 @@ into {-n, ..., n}, and makes elements hashable and safe to share.  ``make`` is
 the checked entry point; ``mul``, ``inverse`` and ``alpha`` keep canonical
 operands canonical and build their results directly.
 
+Construction allocates only what it returns: an element is one slotted object
+with no per-instance dict, and ``make`` checks, reduces and deduplicates in
+one pass over the sorted pairs, keeping each input pair that is already an
+exact tuple.  The exhaustive checks build hundreds of thousands of elements
+while a large oracle image is alive, and each extra tracked allocation per
+element hastens the next full garbage collection, which walks that image.
+
 Membership predicates for the conjugacy-closed generating set: a non-identity
 element belongs iff it is a single support with shift 0, or has shift +1 and
 its support values multiply to the identity in increasing index order
@@ -29,7 +36,7 @@ from dataclasses import dataclass
 from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LampElem:
     base: FiniteGroup
     window: int | None  # None = infinite mode, n >= 1 = truncated on {-n..n}
@@ -49,26 +56,23 @@ class LampElem:
             raise ValueError("truncated mode needs n >= 1")
         # the exact-type test spares a dict the slower ABC check
         mapping = type(support) is dict or isinstance(support, Mapping)
-        items = support.items() if mapping else support
+        items = support.items() if mapping else map(tuple, support)
+        if window is not None:
+            items = [(_reduce(i, window), v) for i, v in items]
+            shift = _reduce(shift, window)
         size, ident = len(base.elements), base.identity_index
-        # a Mapping's keys are distinct, and only truncated mode reduces them
-        distinct = mapping and window is None
-        cleaned: dict[int, int] = {}
-        dropped: set[int] = set()  # indices given the identity value
-        for idx, val in items:
+        kept = []
+        prev = None
+        for pair in sorted(items):  # equal indices end up side by side
+            idx, val = pair
             if not 0 <= val < size:
                 raise ValueError(f"support value {val} is outside [0, {size})")
-            if window is not None:
-                idx = _reduce(idx, window)
-            if not distinct and (idx in cleaned or idx in dropped):
+            if idx == prev:
                 raise ValueError(f"duplicate support index {idx}")
+            prev = idx
             if val != ident:
-                cleaned[idx] = val
-            else:
-                dropped.add(idx)
-        if window is not None:
-            shift = _reduce(shift, window)
-        return LampElem(base, window, shift, tuple(sorted(cleaned.items())))
+                kept.append(pair)
+        return LampElem(base, window, shift, tuple(kept))
 
     @staticmethod
     def identity(base: FiniteGroup, window: int | None = None) -> "LampElem":
@@ -190,12 +194,18 @@ class LampElem:
         shift, values = doc.get("shift", 0), doc.get("support", {})
         if type(shift) is not int or not isinstance(values, Mapping):
             raise ValueError("element shift must be an integer and support an object")
-        support = []  # pairs, so make rejects keys such as "1" and "01"
+        support = []  # pairs, so make rejects keys that wrap to one index
         for key, images in values.items():
             ints = isinstance(images, list) and all(type(x) is int for x in images)
             if not ints or tuple(images) not in base.index:
                 raise ValueError(f"support value {images!r} not in the base group")
-            support.append((int(key), base.index[tuple(images)]))
+            try:
+                index = int(key)
+            except (TypeError, ValueError):
+                index = None
+            if index is None or str(index) != key:  # the form to_json writes
+                raise ValueError(f"support key {key!r} is not a decimal integer")
+            support.append((index, base.index[tuple(images)]))
         return LampElem.make(base, support, shift, window)
 
 

@@ -528,22 +528,36 @@ def _factor_digits(
     return span, digits
 
 
-# Codes decoded per block; the transient Python lists set the oracles' peak RSS.
+# Codes decoded per block; the transient digit and column arrays set the
+# oracles' peak RSS.
 DECODE_ROWS = 1 << 14
 
 
 def _decode_supports(
     base: FiniteGroup, span: Sequence[int], codes: np.ndarray
 ) -> set[tuple[tuple[int, int], ...]]:
-    """Support tuples of base-|P| codes whose digit j is the value at span[j]."""
-    b, e = len(base), base.identity_index
-    powers = b ** np.arange(len(span) - 1, -1, -1)
-    cells = [[(i, d) for d in range(b)] for i in span]  # shared pair tuples
+    """Support tuples of base-|P| codes whose digit j is the value at span[j].
+
+    Rows of a block with one non-identity digit mask share a support shape,
+    so each shape is zipped from object columns of shared (index, value)
+    pairs and a code allocates only its support tuple: each further tracked
+    allocation per code hastens the full collections that walk the image.
+    """
+    b, e, k = len(base), base.identity_index, len(span)
+    powers = b ** np.arange(k - 1, -1, -1)
+    bits = 1 << np.arange(k)
+    cells = np.empty((k, b), dtype=object)  # cells[j, d]: the pair (span[j], d)
+    for j, i in enumerate(span):
+        for d in range(b):
+            cells[j, d] = (i, d)
     out: set[tuple[tuple[int, int], ...]] = set()
     for start in range(0, codes.size, DECODE_ROWS):
         digits = codes[start : start + DECODE_ROWS, None] // powers % b
-        for row in digits.tolist():
-            out.add(tuple([c[d] for c, d in zip(cells, row) if d != e]))
+        masks = (digits != e) @ bits
+        for mask in np.unique(masks).tolist():
+            rows = digits[masks == mask]
+            columns = [cells[j, rows[:, j]].tolist() for j in range(k) if mask >> j & 1]
+            out.update(zip(*columns) if mask else [()])  # no columns: empty support
     return out
 
 

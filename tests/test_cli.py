@@ -323,6 +323,15 @@ def test_malformed_element_and_input_is_structured_error(capsys, argv):
     assert set(json.loads(out)) == {"error"}
 
 
+@pytest.mark.parametrize("key", ["1_0", " 3", "+2", "\u0663", "-0"])
+def test_element_support_keys_must_be_canonical_integers(capsys, key):
+    # int() reads each of these keys (1_0 as 10, the Arabic-Indic digit as 3)
+    element = json.dumps({"support": {key: [1, 2, 0, 3, 4]}})
+    code, out, _ = run_cli(capsys, "norm", "eval", "--group", "A5", "--element", element)
+    assert code == 2
+    assert json.loads(out) == {"error": f"support key {key!r} is not a decimal integer"}
+
+
 # sha256 of `props check` stdout as recorded when S1 and S2 still scanned every
 # element as a1 (A6: every a1 class minimum and every a3); the witnesses are
 # part of the CLI contract and must not move.

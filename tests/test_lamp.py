@@ -1,7 +1,10 @@
+import dataclasses
 import random
+from collections.abc import Mapping
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wreathnorm.groups import FiniteGroup, generate_group
 from wreathnorm.lamp import (
@@ -46,6 +49,63 @@ def test_truncated_rejects_collisions(s3, a5):
     ]:
         with pytest.raises(ValueError, match="duplicate support index"):
             LampElem.make(a5, support, 0, window)
+
+
+def reference_make(base, support, shift, window):
+    """The dict-and-set canonicalizer ``make`` replaced: (support, shift) of
+    the element, raising ValueError where ``make`` must."""
+    canon = _canon(window)
+    items = support.items() if isinstance(support, Mapping) else support
+    cleaned, dropped = {}, set()
+    for idx, val in items:
+        if not 0 <= val < len(base):
+            raise ValueError("value outside the base")
+        idx = canon(idx)
+        if idx in cleaned or idx in dropped:
+            raise ValueError("duplicate index")
+        if val != base.identity_index:
+            cleaned[idx] = val
+        else:
+            dropped.add(idx)
+    return tuple(sorted(cleaned.items())), canon(shift)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    window=st.sampled_from([None, 1, 2, 3]),
+    shift=st.integers(-9, 9),
+    as_dict=st.booleans(),
+)
+def test_make_matches_reference_canonicalizer(s3, data, window, shift, as_dict):
+    # indices in -8..8 collide often, and more so once reduced mod 2n+1;
+    # values run one past each end of the base
+    entry = st.tuples(st.integers(-8, 8), st.integers(-1, len(s3)), st.booleans())
+    entries = data.draw(st.lists(entry, max_size=7))
+    if as_dict:
+        support = {i: v for i, v, _ in entries}
+    else:
+        support = [(i, v) if as_tuple else [i, v] for i, v, as_tuple in entries]
+    try:
+        expected = reference_make(s3, support, shift, window)
+    except ValueError:
+        expected = ValueError
+    try:
+        elem = LampElem.make(s3, support, shift, window)
+        got = (elem.support, elem.shift)
+    except ValueError:
+        got = ValueError
+    assert got == expected
+
+
+def test_make_allocates_only_the_element(a5):
+    support = ((-2, 5), (0, 7), (3, 59))
+    elem = LampElem.make(a5, support)
+    assert elem.support == support
+    assert all(new is old for new, old in zip(elem.support, support))
+    assert not hasattr(elem, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        elem.shift = 1
 
 
 @pytest.mark.parametrize("value", [999, 60, -1])
