@@ -75,17 +75,26 @@ def reference_make(base, support, shift, window):
     data=st.data(),
     window=st.sampled_from([None, 1, 2, 3]),
     shift=st.integers(-9, 9),
-    as_dict=st.booleans(),
+    form=st.sampled_from(["dict", "list", "tuple", "sorted tuple", "canonical tuple"]),
 )
-def test_make_matches_reference_canonicalizer(s3, data, window, shift, as_dict):
+def test_make_matches_reference_canonicalizer(s3, data, window, shift, form):
     # indices in -8..8 collide often, and more so once reduced mod 2n+1;
     # values run one past each end of the base
     entry = st.tuples(st.integers(-8, 8), st.integers(-1, len(s3)), st.booleans())
     entries = data.draw(st.lists(entry, max_size=7))
-    if as_dict:
+    if form == "dict":
         support = {i: v for i, v, _ in entries}
-    else:
-        support = [(i, v) if as_tuple else [i, v] for i, v, as_tuple in entries]
+    elif form == "canonical tuple":  # the form ``make`` returns as it is
+        canon, kept = _canon(window), {}
+        for i, v, _ in entries:
+            if 0 <= v < len(s3) and v != s3.identity_index:
+                kept.setdefault(canon(i), v)
+        support = tuple(sorted(kept.items()))
+    else:  # unsorted, repeated, identity and out-of-range entries, list pairs
+        pairs = [(i, v) if as_tuple else [i, v] for i, v, as_tuple in entries]
+        if form == "sorted tuple":  # by raw index: may still wrap or repeat
+            pairs.sort(key=lambda pair: pair[0])
+        support = pairs if form == "list" else tuple(pairs)
     try:
         expected = reference_make(s3, support, shift, window)
     except ValueError:
@@ -96,11 +105,14 @@ def test_make_matches_reference_canonicalizer(s3, data, window, shift, as_dict):
     except ValueError:
         got = ValueError
     assert got == expected
+    if form == "canonical tuple":
+        assert elem.support is support
 
 
 def test_make_allocates_only_the_element(a5):
     support = ((-2, 5), (0, 7), (3, 59))
     elem = LampElem.make(a5, support)
+    assert elem.support is support
     assert elem.support == support
     assert all(new is old for new, old in zip(elem.support, support))
     assert not hasattr(elem, "__dict__")

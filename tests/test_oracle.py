@@ -459,6 +459,66 @@ def test_pm_pair_image_cap(s3):
         pm_pair_image(s3, (1, 2, 3, 4, 5), "-+")  # 6^10 pairs
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_distinct_matches_np_unique(dtype):
+    rng = np.random.default_rng(0)
+    for a in (
+        np.array([], dtype=dtype),
+        np.array([7], dtype=dtype),
+        rng.integers(0, 50, size=300).astype(dtype),
+        rng.integers(-9, 9, size=(40, 30)).astype(dtype),  # like pm_pair_image's
+        np.full((3, 4), 5, dtype=dtype),
+    ):
+        got, expected = oracle._distinct(a), np.unique(a)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert (got == expected).all()
+
+
+def _reference_shift_blocks(group, codes):
+    """The np.unique form ``_shift_blocks`` replaced."""
+    ks = codes % group.code.width
+    for k in np.unique(ks):
+        positions = np.nonzero(ks == k)[0]
+        for start in range(0, positions.size, oracle.BLOCK_ROWS):
+            pos = positions[start : start + oracle.BLOCK_ROWS]
+            digits, _ = group.decode_batch(codes[pos])
+            yield pos, int(k), digits
+
+
+def test_shift_blocks_match_the_unique_form(s3, monkeypatch):
+    monkeypatch.setattr(oracle, "BLOCK_ROWS", 50)  # several blocks per class
+    group = TruncatedGroup(s3, 1)
+    codes = np.arange(len(group), dtype=np.int64)
+    w = group.code.width
+    rng = np.random.default_rng(1)
+    for sample in (
+        codes,
+        rng.permutation(codes)[:300],
+        codes[codes % w != 1],  # residue 1 missing
+        codes[codes % w == 2][::-1],  # one residue only
+        codes[:0],
+    ):
+        got = list(oracle._shift_blocks(group, sample))
+        expected = list(_reference_shift_blocks(group, sample))
+        assert [k for _, k, _ in got] == sorted(k for _, k, _ in got)
+        assert len(got) == len(expected)
+        for (pos, k, digits), (pos0, k0, digits0) in zip(got, expected):
+            assert k == k0 and type(k) is int and (pos == pos0).all()
+            assert all((d == d0).all() for d, d0 in zip(digits, digits0))
+
+
+def test_oracle_kernels_do_not_call_np_unique(s3, z3, monkeypatch):
+    # numpy >= 2.3's np.unique hashes, a hundred times slower than a sort on
+    # A5's factor codes; sizes pinned as in perfbench
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.unique called")
+
+    monkeypatch.setattr(np, "unique", refuse)
+    assert len(factor_image(s3, (1, 2, 3), 1)) == 216
+    assert len(pm_pair_image(z3, (1, 2, 3), "-+")) == 27
+    assert bfs_norms(s3, 1).layer_sizes == [1, 87, 497, 63]
+
+
 def test_exhaustive_oracles_use_the_base_identity():
     base = _z2_identity_second()
     assert base.identity_index == 1
