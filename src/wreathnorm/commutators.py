@@ -11,6 +11,25 @@ Every builder returns a :class:`CommWitness` whose defining product is checked
 by :func:`verify_witness` through plain element multiplication; nothing
 downstream trusts a builder without that check.
 
+Two plus-factors are built from one table, ``FiniteGroup._commutator_pairs``,
+which maps each a to the first (x, y) in element order with
+x^-1 y x y^-1 = a; it is complete iff every element is a commutator, which is
+what S1 and S2 state as encoded (see ``props``).  Write F+(g)_i = g_i g_(i+1)^-1
+and pad the support's span lo..hi below to even length; the vectors g1, g2
+then live on lo+1 .. hi+1.
+
+Lemma (two-position step).  Let the carry c be 1 below the support and let
+g1_p = c^-1, g2_p = c at position p.  For the value pair (a, b) = (h_p,
+h_(p+1)) take (x, y) = pairs[c^-1 b c a], and set g1_(p+1) = c y^-1 a^-1 c^-1,
+g2_(p+1) = y and, with d = c a y x^-1, g1_(p+2) = d^-1, g2_(p+2) = d; the new
+carry is d.  Then F+(g1) . F+(g2) reads a at p and b at p+1, and the state at
+p+2 again has the step's shape.
+
+Proof.  Position p reads c^-1 . (c a y c^-1) . c . y^-1 = a.  Position p+1
+reads c y^-1 a^-1 c^-1 . d . y . d^-1 = c x^-1 y x y^-1 a^-1 c^-1
+= c (c^-1 b c a) a^-1 c^-1 = b.  Past the last pair both vectors are
+trivial, and that position reads d^-1 . d = 1.
+
 Decision procedure for the mixed case, by support weight w (after compressing
 the support to consecutive indices, which is harmless in both directions):
 
@@ -100,7 +119,7 @@ from typing import Literal, Sequence
 
 from .groups import FiniteGroup, class_product
 from .lamp import LampElem
-from .props import SolverError, require_statements, solve_S1_instance, solve_S2_instance, xi
+from .props import SolverError, require_statements, xi
 
 XI_VARIANTS = ("direct", "inverted")
 RESOLVED_XI_VARIANT = "direct"
@@ -319,21 +338,20 @@ def build_2_commutator(h: LampElem, sign: int) -> CommWitness:
         # pad below so the factors stay within one step of the support
         values.insert(0, base.identity_index)
         lo -= 1
+    mul_many, inv = base.mul_many, base.inv
+    pairs = base._commutator_pairs
     g1: dict[int, int] = {}
     g2: dict[int, int] = {}
-    x, y = solve_S1_instance(base, values[0], values[1])
-    g1[lo + 1] = base.mul(base.inv(x), base.inv(values[0]))
-    g1[lo + 2] = base.inv(y)
-    g2[lo + 1] = x
-    g2[lo + 2] = y
-    carry = y
-    for j in range(2, len(values), 2):
-        z, u, v = solve_S2_instance(base, values[j], values[j + 1], carry)
-        g1[lo + j + 1] = base.inv(z)
-        g1[lo + j + 2] = base.inv(v)
-        g2[lo + j + 1] = base.inv(u)
-        g2[lo + j + 2] = v
-        carry = v
+    carry = base.identity_index
+    for p in range(0, len(values), 2):
+        # the two-position step of the module docstring
+        a, b = values[p], values[p + 1]
+        x, y = pairs[mul_many((inv(carry), b, carry, a))]
+        d = mul_many((carry, a, y, inv(x)))
+        g1[lo + p + 1] = mul_many((carry, inv(y), inv(a), inv(carry)))
+        g2[lo + p + 1] = y
+        g1[lo + p + 2], g2[lo + p + 2] = inv(d), d
+        carry = d
     return CommWitness(
         ("k", 2),
         (
@@ -471,14 +489,3 @@ def _walk_vectors(
         inc, dec = nxt_inc, nxt_dec
         g1[i], g2[i] = dec, inv[inc]
     return LampElem.make(base, g1, 0, window), LampElem.make(base, g2, 0, window)
-
-
-def extend_witness(w: CommWitness) -> CommWitness:
-    """Append a trivial vector: a [k,t]-witness becomes a [k+sign,t]-witness."""
-    tag, val = w.kind
-    if tag != "k":
-        raise ValueError("only k-witnesses extend")
-    k = int(val)
-    ident = LampElem.identity(w.vectors[0].base, w.vectors[0].window)
-    new_k = k + 1 if k > 0 else k - 1
-    return CommWitness(("k", new_k), w.vectors + (ident,))

@@ -152,6 +152,24 @@ class FiniteGroup:
         return self._conj_first.get((a, b))
 
     @cached_property
+    def _commutator_pairs(self) -> dict[int, tuple[int, int]]:
+        """a -> the first (x, y) in element order with x^-1 y x y^-1 == a.
+
+        The scan runs x-major and stops after the first row at which every
+        element has a pair, so it is short exactly when every element is a
+        commutator; otherwise it runs all |P|^2 pairs and misses the rest.
+        """
+        mul, inv, n = self._mul_table, self._inv_table, len(self)
+        pairs: dict[int, tuple[int, int]] = {}
+        for x in range(n):
+            left = mul[inv[x]]
+            for y in range(n):
+                pairs.setdefault(mul[mul[left[y]][x]][inv[y]], (x, y))
+            if len(pairs) == n:
+                break
+        return pairs
+
+    @cached_property
     def conj_classes(self) -> ConjClassTable:
         """The group's one class table; it also memoizes class products."""
         return ConjClassTable(self)

@@ -38,6 +38,7 @@ from __future__ import annotations
 import json
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .groups import FiniteGroup
 
@@ -186,11 +187,11 @@ class LampElem:
         return self.base.identity_index
 
     def support_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, _ in self.support)
+        return tuple(map(_index_of, self.support))
 
     def support_values(self) -> tuple[int, ...]:
         """Base values in increasing index order."""
-        return tuple([v for _, v in self.support])
+        return tuple(map(_value_of, self.support))
 
     def extent(self) -> int:
         """The largest absolute index of the support, or of the shift."""
@@ -242,6 +243,8 @@ class LampElem:
 _set_base, _set_window, _set_shift, _set_support = (
     LampElem.__dict__[name].__set__ for name in ("base", "window", "shift", "support")
 )
+# built once: an itemgetter made per call costs more than the list it saves
+_index_of, _value_of = itemgetter(0), itemgetter(1)
 
 
 def _reduce(value: int, n: int) -> int:

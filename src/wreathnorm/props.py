@@ -22,9 +22,9 @@ oracles for cross-checks.
 
 ``check_all``, ``statement_holds``, ``require_statements`` and
 ``satisfies_s_conditions`` share one report cache on the group, so each
-statement is computed at most once per group object.  Instance solvers return
-the first solution in element order (loop order documented per solver), so
-witnesses are reproducible.
+statement is computed at most once per group object.  S1 and S2 decide from
+the class algebra alone; their instances are solved by the one commutator
+table ``FiniteGroup._commutator_pairs``, which ``commutators`` reads once C = P.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .groups import FiniteGroup, class_product
 
 
 class SolverError(RuntimeError):
-    """No solution exists; the base group fails the relevant S-statement."""
+    """No witness exists: the element is not a mixed commutator."""
 
 
 @dataclass(frozen=True)
@@ -192,40 +192,3 @@ def require_statements(group: FiniteGroup, names: tuple[str, ...]) -> None:
 
 def satisfies_s_conditions(group: FiniteGroup) -> bool:
     return all(statement_holds(group, name) for name in ("S1", "S2", "S3", "S4"))
-
-
-def solve_S1_instance(group: FiniteGroup, a1: int, a2: int) -> tuple[int, int]:
-    """First (x, y) in element order with a2 = x^-1 a1^-1 y x y^-1.
-
-    Loop order: x ascending, then y ascending via the conjugator table, so the
-    returned witness is the lexicographically first solution.
-    """
-    ia1 = group.inv(a1)
-    for x in range(len(group)):
-        # a2 = x^-1 ia1 y x y^-1  <=>  y x y^-1 = ia1^-1 x a2^-1 ... solved via
-        # y^-1 (x) y = w with w = a1 x a2 read off the rearranged equation.
-        w = group.mul_many((a1, x, a2))
-        y = group.first_conjugator(w, x)
-        if y is not None:
-            return x, y
-    raise SolverError("no (x, y) realizes S1 for this pair")
-
-
-def solve_S2_instance(
-    group: FiniteGroup, a1: int, a2: int, a3: int
-) -> tuple[int, int, int]:
-    """First (z, u, v) with a1 = a3^-1 z a3 u and a2 = z^-1 v u^-1 v^-1.
-
-    Solves the equivalent original form a2 = a3 u a1^-1 a3^-1 v u^-1 v^-1 by
-    scanning u ascending then v ascending; z is determined by u.
-    """
-    ia1, ia3 = group.inv(a1), group.inv(a3)
-    for u in range(len(group)):
-        w = group.mul_many((a3, u, ia1, ia3))
-        target = group.mul(group.inv(w), a2)
-        # v u^-1 v^-1 = target  <=>  v^-1 target v = u^-1
-        v = group.first_conjugator(target, group.inv(u))
-        if v is not None:
-            z = group.mul_many((a3, a1, group.inv(u), ia3))
-            return z, u, v
-    raise SolverError("no (z, u, v) realizes S2 for this triple")

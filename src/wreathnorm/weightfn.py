@@ -76,7 +76,12 @@ class WeightFn:
         n = len(group)
         rows: list[tuple[Symbol, ...] | None] = [None] * n
         for key, row in rows_doc.items():
-            g = int(key)
+            try:
+                g = int(key)
+            except (TypeError, ValueError):
+                g = None
+            if g is None or str(g) != key:  # the form to_json writes
+                raise ValueError(f"row key {key!r} is not a decimal integer")
             if not 0 <= g < n or rows[g] is not None:
                 raise ValueError(f"row key {key!r} is not a new element id in [0, {n})")
             if not isinstance(row, (list, tuple)) or len(row) != len(thresholds):

@@ -11,7 +11,6 @@ from wreathnorm.commutators import (
     build_pm1_decomposition,
     build_pm_commutator,
     evaluate_witness,
-    extend_witness,
     factor_minus,
     factor_plus,
     is_pm_commutator,
@@ -20,9 +19,11 @@ from wreathnorm.commutators import (
     transport,
     verify_witness,
 )
-from wreathnorm.groups import builtin_group
+from wreathnorm.groups import builtin_group, parse_group_spec
 from wreathnorm.lamp import LampElem
 from wreathnorm.oracle import bfs_norms, pm_pair_image
+
+A6_SPEC = '{"degree": 6, "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]}'
 
 
 def rand_torsion(rng, base, max_w=6, span=4):
@@ -94,15 +95,47 @@ def test_two_commutator_requires_s1_s2(s3):
         build_2_commutator(h, 1)
 
 
+def test_two_commutator_step_verifies_within_one_step():
+    # seeded elements of weight up to 10 on span -7..7: odd and even spans, gaps
+    spans = set()
+    for spec in ("A5", A6_SPEC):
+        base = parse_group_spec(spec)
+        rng = random.Random(23)
+        for _ in range(150):
+            h = rand_torsion(rng, base, max_w=10, span=7)
+            indices = h.support_indices()
+            if not indices:
+                continue
+            lo, hi = indices[0], indices[-1]
+            spans.add(((hi - lo + 1) % 2, hi - lo + 1 > len(indices)))
+            padded_lo = lo - (hi - lo + 1) % 2
+            layout = set(range(padded_lo + 1, hi + 2))
+            for sign in (1, -1):
+                w = build_2_commutator(h, sign)
+                assert w.kind == ("k", 2 * sign)
+                assert verify_witness(h, w)
+                for vec in w.vectors:
+                    assert set(vec.support_indices()) <= layout
+    assert spans == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def test_two_commutator_scans_no_conjugators():
+    base = builtin_group("A5")  # fresh, so no other test has built its tables
+    h = LampElem.make(base, {-2: 5, 0: 17, 1: 42, 4: 9}, 0)
+    for sign in (1, -1):
+        assert verify_witness(h, build_2_commutator(h, sign))
+    assert "_conj_first" not in base.__dict__
+
+
 def test_monotonicity_by_extension(a5):
     rng = random.Random(4)
+    ident = LampElem.identity(a5)
     for _ in range(60):
         h = rand_torsion(rng, a5, max_w=5)
-        w = build_2_commutator(h, 1)
-        w3 = extend_witness(w)
+        w3 = CommWitness(("k", 3), build_2_commutator(h, 1).vectors + (ident,))
         assert w3.kind == ("k", 3)
         assert verify_witness(h, w3)
-        w4 = extend_witness(extend_witness(build_2_commutator(h, -1)))
+        w4 = CommWitness(("k", -4), build_2_commutator(h, -1).vectors + (ident, ident))
         assert w4.kind == ("k", -4)
         assert verify_witness(h, w4)
 

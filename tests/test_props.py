@@ -2,6 +2,7 @@ import gc
 import random
 import weakref
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -15,7 +16,6 @@ from wreathnorm.groups import (
 )
 from wreathnorm.props import (
     PropReport,
-    SolverError,
     check_all,
     check_S1,
     check_S2,
@@ -23,8 +23,6 @@ from wreathnorm.props import (
     check_S4,
     require_statements,
     satisfies_s_conditions,
-    solve_S1_instance,
-    solve_S2_instance,
     statement_holds,
     xi,
     xi_naive,
@@ -222,44 +220,45 @@ def test_s4_holds_on_z3_but_not_trivially(z3):
     assert not check_S4(trivial).holds
 
 
-def test_solve_s1_reverifies(a5):
-    rng = random.Random(1)
-    for _ in range(100):
-        a1, a2 = rng.randrange(60), rng.randrange(60)
-        x, y = solve_S1_instance(a5, a1, a2)
-        got = a5.mul_many((a5.inv(x), a5.inv(a1), y, x, a5.inv(y)))
-        assert got == a2
+A6_SPEC = '{"degree": 6, "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]}'
 
 
-def test_solve_s1_trivial_pair(a5):
-    x, y = solve_S1_instance(a5, 3, a5.inv(3))
-    assert (x, y) == (0, 0)  # identity pair is admissible and found first
+def _commutator(group, x, y):
+    return group.mul_many((group.inv(x), y, x, group.inv(y)))
 
 
-def test_solve_s1_exhausts_on_abelian(z3):
-    a1 = 1
-    a2 = 1  # != a1^-1 = 2
-    with pytest.raises(SolverError):
-        solve_S1_instance(z3, a1, a2)
+@pytest.mark.parametrize("spec", ["A5", A6_SPEC])
+def test_commutator_pairs_reverify(spec):
+    group = parse_group_spec(spec)
+    pairs = group._commutator_pairs
+    assert len(pairs) == len(group)
+    for a, (x, y) in pairs.items():
+        assert _commutator(group, x, y) == a
 
 
-def test_solve_s2_reverifies_both_forms(a5):
-    rng = random.Random(2)
-    for _ in range(100):
-        a1, a2, a3 = (rng.randrange(60) for _ in range(3))
-        z, u, v = solve_S2_instance(a5, a1, a2, a3)
-        # modified form
-        assert a5.mul_many((a5.inv(a3), z, a3, u)) == a1
-        assert a5.mul_many((a5.inv(z), v, a5.inv(u), a5.inv(v))) == a2
-        # original statement shape
-        assert (
-            a5.mul_many((a3, u, a5.inv(a1), a5.inv(a3), v, a5.inv(u), a5.inv(v)))
-            == a2
+@pytest.mark.parametrize("spec", ["S3", "A4", "S4", "A5", "Z3", A6_SPEC])
+def test_commutator_pair_keys_are_the_class_algebra_commutator_set(spec):
+    group = parse_group_spec(spec)
+    table = group.conj_classes
+    commutators = set().union(
+        *(
+            class_product(group, table.class_of[group.inv(rep)], c)
+            for c, rep in enumerate(table.representatives())
         )
+    )
+    assert group._commutator_pairs.keys() == commutators
+    assert statement_holds(group, "S1") == (len(commutators) == len(group))
+    assert group._commutator_pairs[group.identity_index] == (0, 0)
 
 
-def test_solver_determinism(a5):
-    assert solve_S2_instance(a5, 7, 9, 11) == solve_S2_instance(a5, 7, 9, 11)
+@pytest.mark.parametrize("spec", ["A5", "S4"])
+def test_commutator_pairs_equal_a_full_lexicographic_scan(spec):
+    # A5 stops the scan early (C = P); S4 runs all |P|^2 pairs (C != P)
+    group = parse_group_spec(spec)
+    full = {}
+    for x, y in product(range(len(group)), repeat=2):
+        full.setdefault(_commutator(group, x, y), (x, y))
+    assert group._commutator_pairs == full
 
 
 def test_satisfies_s_conditions(a5, s3):

@@ -150,6 +150,11 @@ def _in_place(change):
     return edit
 
 
+def _renamed_row(key, new_key):
+    """An edit that moves the row of ``key`` under ``new_key``."""
+    return _in_place(lambda d: d["rows"].__setitem__(new_key, d["rows"].pop(key)))
+
+
 @pytest.mark.parametrize(
     "edit, message",
     [
@@ -166,6 +171,10 @@ def _in_place(change):
         (lambda d: {"rows": d["rows"]}, "needs 'thresholds' and 'rows'"),
         (lambda d: [d], "needs 'thresholds' and 'rows'"),
         (lambda d: {**d, "rows": list(d["rows"].values())}, "'rows' an object"),
+        (_renamed_row("0", "0_0"), "'0_0' is not a decimal integer"),
+        (_renamed_row("4", "+4"), "'\\+4' is not a decimal integer"),
+        (_renamed_row("5", " 5"), "' 5' is not a decimal integer"),
+        (_renamed_row("1", "one"), "'one' is not a decimal integer"),
     ],
     ids=[
         "missing-row",
@@ -181,6 +190,10 @@ def _in_place(change):
         "no-thresholds",
         "list-document",
         "list-rows",
+        "key-underscore",
+        "key-plus",
+        "key-space",
+        "key-word",
     ],
 )
 def test_weightfn_from_json_rejects_malformed(s3, s3_word_table, edit, message):
