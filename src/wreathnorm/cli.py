@@ -9,6 +9,7 @@ when the command's checks pass.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -135,6 +136,8 @@ def cmd_oracle_bfs(args) -> int:
     if args.out:
         oc.write_norms_binary(args.out, result)
     _emit(_envelope(args, result.summary(), args.group), args.summary)
+    for level in result.levels:
+        print(json.dumps(dataclasses.asdict(level), sort_keys=True), file=sys.stderr)
     print(f"bfs wall time: {result.elapsed:.2f}s", file=sys.stderr)
     return 0
 

@@ -379,7 +379,8 @@ def is_pm_commutator(h: LampElem, variant: str = RESOLVED_XI_VARIANT) -> bool:
         return False
     if w == 2:
         v1, v2 = values
-        return base.first_conjugator(base.inv(v1), v2) is not None
+        class_of = base.conj_classes.class_of
+        return class_of[base.inv(v1)] == class_of[v2]
     if w == 3:
         v1, v2, v3 = values
         if variant == "inverted":

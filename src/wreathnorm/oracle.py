@@ -7,14 +7,15 @@ that re-encodes the digits of one shift class at a time.
 
 The conjugacy-closed generating set S-bar is a union of conjugacy classes
 (checked before use), so every ball around the identity is one too.  Each
-state carries a class label, the least code in its class.  The class step: for
-X a union of classes, X . S-bar is the union of the classes met by r . S-bar
-for one representative r per class of X, as x = y^-1 r y gives x . S-bar =
-y^-1 (r . S-bar) y.  The BFS takes one class step per level and reads each
-state's distance back through its label.  One ``BfsResult`` holds that
-search: ``bfs_norms`` returns it, and ``bounded_norm`` answers queries by
-lookup into it.  Distance labels are convention-free, so runs are
-deterministic.
+state carries a class label, the least code in its class, read in closed form
+off the classes of its cycle products (``TruncatedGroup.class_labels``): no
+search over conjugates builds them.  The class step: for X a union of classes,
+X . S-bar is the union of the classes met by r . S-bar for one representative
+r per class of X, as x = y^-1 r y gives x . S-bar = y^-1 (r . S-bar) y.  The
+BFS takes one class step per level and reads each state's distance back
+through its label.  One ``BfsResult`` holds that search: ``bfs_norms`` returns
+it, and ``bounded_norm`` answers queries by lookup into it.  Distance labels
+are convention-free, so runs are deterministic.
 
 The large-table validators are exact reformulations sized for millions of
 states:
@@ -36,6 +37,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import product as iter_product
+from math import gcd
 from pathlib import Path
 from typing import Sequence
 
@@ -132,11 +134,15 @@ class TruncatedGroup:
         b = len(self.base)
         mul = np.array(self.base._mul_table, dtype=np.int64)
         mulT = np.ascontiguousarray(mul.T)
+        classes = self.base.conj_classes
         return {
             # per-element gather rows; None marks the identity (element 0)
             "mul_rows": [None] + list(mul[1:]),
             "mulT_rows": [None] + list(mulT[1:]),
+            "mul": mul.ravel(),  # a * b at a * |P| + b
             "inv": np.array(self.base._inv_table, dtype=np.int64),
+            # the least element of each element's class
+            "least": np.array(classes.representatives())[list(classes.class_of)],
             "radix": np.array(
                 [b ** (self.code.width - 1 - j) for j in range(self.code.width)],
                 dtype=np.int64,
@@ -156,39 +162,48 @@ class TruncatedGroup:
     def class_labels(self) -> np.ndarray:
         """int32: for each state, the least code in its conjugacy class.
 
-        Min-label propagation with pointer jumping under conjugation by the
-        standard generators, per shift residue (conjugation keeps the shift)
-        and BLOCK_ROWS codes at a time.  A label is always a code of the
-        state's own class and at most the state.  Forward pulls suffice: once
-        a round changes nothing, lab[x] <= lab[p(x)] for each conjugation p,
-        and p has finite order, so lab is constant on its cycles, hence on
-        the class, where it can only be the minimum.
+        Closed form, from the class structure of wreath products (James &
+        Kerber, *The Representation Theory of the Symmetric Group*, 1981,
+        ch. 4).  Write a state as (v, k), digits v_0..v_(w-1) and shift k, so
+        (h, k)(g, l) = (h . shift^k(g), k + l) with shift^k(g)_i = g_(i+k),
+        indices mod w.  Let d = gcd(k, w) (d = w at k = 0) and, for
+        r = 0..d-1, let C_r be the least element of the P-class of the forward
+        cycle product v_r . v_(r+k) . v_(r+2k) ..., w/d factors.  The label
+        is the least of the d codes with shift k, identity in the first w - d
+        digits and (C_s, C_(s+1), ..., C_(s+d-1)) (indices mod d) in the
+        last d, one per rotation s.
+
+        Proof.  Conjugation keeps k.  A base vector y maps digit i to
+        y_i^-1 . v_i . y_(i+k); along cycle r the inner factors cancel and
+        (w/d) k = 0 mod w, so cycle product r becomes y_r^-1 . (product) . y_r.
+        The cycles are disjoint, so base vectors conjugate the d cycle
+        products independently, each to any of its conjugates; telescoping y
+        along a cycle moves the whole product onto any one position of it.
+        Conjugating by t moves digit i to i + 1, which moves each cycle
+        product to the next cycle, up to a cyclic rotation of its factors
+        (itself a conjugation).  Every conjugator is a base vector times a power of t,
+        so the class of (v, k) is k with the Z_d-rotation orbit of the d
+        cycle-product classes.  Its least code puts each cycle's single
+        non-identity digit at that cycle's last position, w - d + r, which
+        makes the first w - d digits identity (element 0), and then takes the
+        least class element there, at the least rotation; class minima ascend
+        with class id, so comparing codes compares class ids.
         """
         w = self.code.width
         if len(self) > np.iinfo(np.int32).max:
             raise CapExceededError(f"{len(self)} states do not fit int32 labels")
-        ys = [self.encode(y) for y in standard_generators(self)]
+        b = len(self.base)
+        radix = self.np_tables["radix"]
         labels = np.empty(len(self), dtype=np.int32)
-        size = len(self) // w
-        # conjugation by each y, as a permutation of the indices code // w
-        perms = [np.empty(size, dtype=np.int32) for _ in ys]
-        for k in range(w):
-            for start in range(0, size, BLOCK_ROWS):
-                index = np.arange(start, min(start + BLOCK_ROWS, size), dtype=np.int64)
-                for pos, i, conj in _conjugates(self, index * w + k, ys):
-                    perms[i][start + pos] = conj // w
-            lab = np.arange(size, dtype=np.int32)
-            changed = True
-            while changed:
-                changed = False
-                for perm in perms:
-                    pulled = lab[perm]
-                    changed |= bool((pulled < lab).any())
-                    np.minimum(lab, pulled, out=lab)
-                jumped = lab[lab]
-                while not np.array_equal(jumped, lab):
-                    lab, jumped = jumped, jumped[jumped]
-            labels[k::w] = lab * w + k
+        by_shift = labels.reshape(-1, w)  # row code // w, column the shift
+        rows = by_shift.shape[0]
+        for start in range(0, rows, BLOCK_ROWS):
+            vec = np.arange(start, min(start + BLOCK_ROWS, rows), dtype=np.int64)
+            digits = [(vec // r) % b for r in radix]
+            for k in range(w):
+                by_shift[start : start + vec.size, k] = _class_label_block(
+                    self, digits, k
+                )
         return labels
 
 
@@ -292,6 +307,29 @@ def _conjugates(group: TruncatedGroup, codes: np.ndarray, by_codes: Sequence[int
             yield pos, i, _encode(group, digits, luts, kappa, k)
 
 
+def _class_label_block(
+    group: TruncatedGroup, digits: Sequence[np.ndarray], k: int
+) -> np.ndarray:
+    """Class labels (see ``TruncatedGroup.class_labels``) of the states with
+    the given digit columns and shift residue k."""
+    w, b = group.code.width, len(group.base)
+    mul, least = group.np_tables["mul"], group.np_tables["least"]
+    d = gcd(k, w)
+    cycles = []  # the least element of each cycle product's class
+    for r in range(d):
+        acc = digits[r]
+        for j in range(1, w // d):
+            acc = mul[acc * b + digits[(r + j * k) % w]]
+        cycles.append(least[acc])
+    best = None
+    for s in range(d):
+        code = cycles[s]
+        for r in range(1, d):
+            code = code * b + cycles[(s + r) % d]
+        best = code if best is None else np.minimum(best, code)
+    return best * w + k
+
+
 def _inverses(group: TruncatedGroup, codes: np.ndarray):
     """Yield (positions, codes of x^-1) per shift block of ``codes``."""
     luts = [group.np_tables["inv"]] * group.code.width
@@ -333,8 +371,7 @@ def enumerate_Sbar(
         raise ValueError("window n must be >= 1 (the shift must move indices)")
     b = len(base)
     w = 2 * window + 1
-    if (w * (b - 1) + 2 * b ** (w - 1)) > cap:
-        raise CapExceededError(f"generating set would exceed cap {cap}")
+    _require_gen_cap(b, w, cap)
     out: list[LampElem] = []
     for i in range(-window, window + 1):
         for v in range(b):
@@ -351,7 +388,45 @@ def enumerate_Sbar(
     return out
 
 
+def _require_gen_cap(b: int, w: int, cap: int) -> None:
+    if (w * (b - 1) + 2 * b ** (w - 1)) > cap:
+        raise CapExceededError(f"generating set would exceed cap {cap}")
+
+
+def _sbar_codes(group: TruncatedGroup, cap: int = DEFAULT_GEN_CAP) -> np.ndarray:
+    """``sorted(group.encode(s) for s in enumerate_Sbar(...))``, built on digit
+    arrays: the singles, every (w-1)-digit choice closed by the inverse of its
+    product at shift +1, and their inverses."""
+    w, b = group.code.width, len(group.base)
+    _require_gen_cap(b, w, cap)
+    tables = group.np_tables
+    singles = np.arange(1, b)[:, None] * tables["radix"] * w  # shift 0
+    choices = np.arange(b ** (w - 1), dtype=np.int64)
+    product = np.zeros_like(choices)
+    for j in range(w - 1):
+        product = tables["mul"][product * b + choices // b ** (w - 2 - j) % b]
+    plus = (choices * b + tables["inv"][product]) * w + 1
+    minus = np.empty_like(plus)
+    for pos, codes in _inverses(group, plus):
+        minus[pos] = codes
+    return np.sort(np.concatenate([singles.ravel(), plus, minus]))
+
+
 # -- breadth-first search --------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BfsLevel:
+    """One class step of the BFS: the classes it expanded from, the products
+    it formed (each frontier representative times every generator), the
+    classes and states it reached first, and its wall time."""
+
+    level: int
+    frontier_classes: int
+    products: int
+    new_classes: int
+    new_states: int
+    seconds: float
 
 
 @dataclass
@@ -365,6 +440,7 @@ class BfsResult:
     layer_sizes: list[int]
     diameter: int
     elapsed: float = field(default=0.0, compare=False)
+    levels: list[BfsLevel] = field(default_factory=list, compare=False)
 
     @property
     def generator_count(self) -> int:
@@ -391,18 +467,16 @@ class BfsResult:
 
 def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResult:
     """The class BFS of a truncation over its conjugacy-closed generators
-    (``enumerate_Sbar``, at most ``gen_cap`` of them).
+    (the codes of ``enumerate_Sbar``, at most ``gen_cap`` of them).
 
     Level-synchronized over conjugacy classes, one class step (see the module
-    docstring) per level from the representatives of the last layer.  Each
-    state's distance is its class's.  Raises RuntimeError if the generators
-    are not a union of classes, if a level would reach the UNREACHED
-    sentinel, or if states stay unreached.
+    docstring) per level from the representatives of the last layer, each
+    recorded as a ``BfsLevel``.  Each state's distance is its class's.
+    Raises RuntimeError if the generators are not a union of classes, if a
+    level would reach the UNREACHED sentinel, or if states stay unreached.
     """
     started = time.perf_counter()
-    gens = enumerate_Sbar(group.base, group.window, gen_cap)
-    gen_codes = np.array(sorted(group.encode(s) for s in gens), dtype=np.int64)
-    del gens
+    gen_codes = _sbar_codes(group, gen_cap)
     # labels first: no other per-state array is alive while they are built
     labels = group.class_labels
     # a union of classes: a state is a generator iff its class label is one
@@ -416,7 +490,9 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
     class_dist[0] = 0
     frontier = [0]
     level = 0
+    steps = []  # (frontier classes, new classes, seconds) per level
     while frontier:
+        step_started = time.perf_counter()
         reached = np.zeros(len(group), dtype=bool)
         for rep in frontier:
             for _, prods in _times(group, gen_blocks, rep):
@@ -430,6 +506,7 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
                 f"BFS level {level} would collide with the unreached sentinel"
             )
         class_dist[new] = level
+        steps.append((len(frontier), new.size, time.perf_counter() - step_started))
         frontier = new.tolist()
 
     distances = class_dist[labels]
@@ -439,13 +516,19 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
             f"generators failed to reach the whole truncation; {missing} states missing"
         )
     # counted per level: np.bincount would widen the distances to int64
+    layer_sizes = [int(np.count_nonzero(distances == lvl)) for lvl in range(level + 1)]
+    levels = [
+        BfsLevel(lvl, f, f * gen_codes.size, c, layer_sizes[lvl], round(sec, 6))
+        for lvl, (f, c, sec) in enumerate(steps, 1)
+    ]
     return BfsResult(
         group,
         gen_codes,
         distances,
-        [int(np.count_nonzero(distances == lvl)) for lvl in range(level + 1)],
+        layer_sizes,
         diameter=level,
         elapsed=time.perf_counter() - started,
+        levels=levels,
     )
 
 

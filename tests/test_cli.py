@@ -196,6 +196,30 @@ def test_oracle_bfs_binary(capsys, tmp_path):
     assert header["order"] == 648 and body.size == 648
 
 
+# sha256 of the S3 w1 stdout and WNBF1 file, taken before the level records
+ORACLE_BFS_S3W1_SHA256 = (
+    "f7634a188bb99d95d55eb022c9c584886ec442067a353640cb69642e64167082",
+    "8e194d2d9112ee8e226e331a65273352da831463bffb2699d9869779e2c57333",
+)
+
+
+def test_oracle_bfs_levels_go_to_stderr(capsys, tmp_path):
+    out_path = tmp_path / "norms.bin"
+    code, out, err = run_cli(
+        capsys, "oracle", "bfs", "--group", "S3", "--window", "1", "--out", str(out_path)
+    )
+    assert code == 0
+    digests = (
+        hashlib.sha256(out.encode()).hexdigest(),
+        hashlib.sha256(out_path.read_bytes()).hexdigest(),
+    )
+    assert digests == ORACLE_BFS_S3W1_SHA256
+    levels = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert [lv["level"] for lv in levels] == [1, 2, 3]
+    new_states = [lv["new_states"] for lv in levels]
+    assert new_states == json.loads(out)["result"]["layer_sizes"][1:]
+
+
 def test_structured_error_exit_code(capsys):
     code, out, _ = run_cli(
         capsys, "norm", "eval", "--element", '{"shift": 0, "support": {"0": [1, 0, 2, 3, 4]}}'

@@ -151,6 +151,23 @@ def test_pm_decision_small_weights(a5):
     assert verify_witness(yes, w)
 
 
+@pytest.mark.parametrize("name", ["S3", "A4", "A5", "Z3"])
+def test_pm_weight2_decision_is_the_conjugacy_test(name):
+    base = builtin_group(name)
+    for v1, v2 in product(range(1, len(base)), repeat=2):
+        h = LampElem.make(base, {0: v1, 1: v2}, 0)
+        assert is_pm_commutator(h) == (
+            base.first_conjugator(base.inv(v1), v2) is not None
+        )
+
+
+def test_pm_weight2_scans_no_conjugators():
+    base = builtin_group("A5")  # fresh, so no other test has built its tables
+    for v1, v2 in ((5, base.inv(5)), (5, 17), (42, 9)):
+        is_pm_commutator(LampElem.make(base, {-1: v1, 3: v2}, 0))
+    assert "_conj_first" not in base.__dict__
+
+
 def test_pm_weight3_matches_xi_and_builder(a5):
     from wreathnorm.props import xi
 

@@ -338,6 +338,118 @@ def test_class_labels_peak_memory(a5):
     assert peak <= 12 * 2**20
 
 
+def _propagation_labels(group):
+    """The search that preceded the closed form, kept as a reference.
+
+    Min-label propagation with pointer jumping under conjugation by the
+    standard generators, per shift residue (conjugation keeps the shift).
+    Once a round changes nothing, lab[x] <= lab[p(x)] for each conjugation p,
+    and p has finite order, so lab is constant on its cycles, hence on the
+    class, where it can only be the minimum.
+    """
+    w = group.code.width
+    ys = [group.encode(y) for y in standard_generators(group)]
+    labels = np.empty(len(group), dtype=np.int32)
+    size = len(group) // w
+    # conjugation by each y, as a permutation of the indices code // w
+    perms = [np.empty(size, dtype=np.int32) for _ in ys]
+    for k in range(w):
+        for start in range(0, size, oracle.BLOCK_ROWS):
+            index = np.arange(start, min(start + oracle.BLOCK_ROWS, size))
+            for pos, i, conj in oracle._conjugates(group, index * w + k, ys):
+                perms[i][start + pos] = conj // w
+        lab = np.arange(size, dtype=np.int32)
+        changed = True
+        while changed:
+            changed = False
+            for perm in perms:
+                pulled = lab[perm]
+                changed |= bool((pulled < lab).any())
+                np.minimum(lab, pulled, out=lab)
+            jumped = lab[lab]
+            while not np.array_equal(jumped, lab):
+                lab, jumped = jumped, jumped[jumped]
+        labels[k::w] = lab * w + k
+    return labels
+
+
+@pytest.mark.parametrize(
+    "name,window",
+    [("s3", 1), ("s3", 2), ("s3", 3), ("a4", 1), ("s4", 1), ("a5", 1), ("z3", 2),
+     ("z3", 4)],
+)
+def test_class_labels_equal_the_propagation(request, name, window):
+    group = TruncatedGroup(request.getfixturevalue(name), window)
+    assert group.class_labels.tobytes() == _propagation_labels(group).tobytes()
+
+
+def _sampled_labels(group, codes):
+    labels = np.empty_like(codes)
+    for pos, k, digits in oracle._shift_blocks(group, codes):
+        labels[pos] = oracle._class_label_block(group, digits, k)
+    return labels
+
+
+def test_class_labels_on_a_composite_nonabelian_width(s3):
+    # S3 w4: w = 9, 90,699,264 states, so the dense labels are never built
+    group = TruncatedGroup(s3, 4)
+    w = group.code.width
+    rng = random.Random(9)
+    # every shift residue, so each divisor 1, 3, 9 of w occurs as gcd(k, w)
+    codes = np.array(
+        [rng.randrange(len(group) // w) * w + i % w for i in range(900)],
+        dtype=np.int64,
+    )
+    labels = _sampled_labels(group, codes)
+    assert (labels <= codes).all()
+    assert (_sampled_labels(group, labels) == labels).all()
+    conjugates = np.array(
+        [
+            group.encode(group.decode(int(x)).conjugate(group.decode(y)))
+            for x in codes
+            for y in [rng.randrange(len(group))]
+        ],
+        dtype=np.int64,
+    )
+    assert (_sampled_labels(group, conjugates) == labels).all()
+    assert "class_labels" not in group.__dict__
+
+
+def test_class_labels_search_no_conjugates(s3, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("_conjugates called")
+
+    monkeypatch.setattr(oracle, "_conjugates", refuse)
+    labels = TruncatedGroup(s3, 2).class_labels
+    digest = hashlib.sha256(labels.tobytes()).hexdigest()
+    assert digest == CLASS_LABELS_SHA256["s3", 2]
+
+
+@pytest.mark.parametrize("name,window", [("s3", 1), ("s3", 2), ("a4", 1), ("a5", 1)])
+def test_generator_codes_equal_the_enumerated_generators(request, name, window):
+    base = request.getfixturevalue(name)
+    group = TruncatedGroup(base, window)
+    expected = sorted(group.encode(s) for s in enumerate_Sbar(base, window))
+    codes = oracle._sbar_codes(group)
+    assert codes.dtype == np.int64 and codes.tolist() == expected
+    assert bfs_norms(base, window).gen_codes.tolist() == expected
+    with pytest.raises(CapExceededError, match="cap"):
+        bfs_norms(base, window, gen_cap=len(expected) - 1)
+
+
+def test_bfs_levels_account_for_every_state(s3_bfs, a5_bfs):
+    for res in (s3_bfs, a5_bfs):
+        assert [lv.level for lv in res.levels] == list(range(1, res.diameter + 1))
+        assert [lv.new_states for lv in res.levels] == res.layer_sizes[1:]
+        assert res.levels[0].frontier_classes == 1
+        assert all(
+            lv.products == lv.frontier_classes * res.generator_count
+            and lv.seconds >= 0
+            for lv in res.levels
+        )
+        assert sum(lv.new_classes for lv in res.levels) + 1 == _class_count(res)
+
+
 def test_bfs_guards_the_unreached_sentinel(s3, monkeypatch):
     # with the sentinel at 2, the S3 w1 BFS (diameter 3) must stop at level 2
     monkeypatch.setattr(oracle, "UNREACHED", 2)
