@@ -30,26 +30,18 @@ reads c y^-1 a^-1 c^-1 . d . y . d^-1 = c x^-1 y x y^-1 a^-1 c^-1
 = c (c^-1 b c a) a^-1 c^-1 = b.  Past the last pair both vectors are
 trivial, and that position reads d^-1 . d = 1.
 
-Decision procedure for the mixed case, by support weight w (after compressing
-the support to consecutive indices, which is harmless in both directions):
+One predicate decides the mixed case: the class walk below, whose backward
+pass alone decides.  Its corollary, the paper's weight rule, is proved after
+it.
 
-* w = 0: trivially yes;  w = 1: never (the two telescoping factor conditions
-  force the single remaining value to cancel);
-* w = 2: yes iff the second value is conjugate to the inverse of the first;
-* w = 3: yes iff the class-product predicate xi holds on the value triple;
-* w >= 4: always, provided the base group satisfies S3.
-
-This is the paper's rule, and :func:`is_pm_commutator` applies it.  The
-class walk below constructs every mixed witness, in infinite mode and on
-truncations alike; the acceptance gate compares its decisions with the rule.
-
-Two candidate argument conventions exist for the weight-3 test,
+Two candidate argument conventions exist for the rule's weight-3 test,
 xi(h1, h2, h3) ("direct") and xi(h1^-1, h2^-1, h3) ("inverted").  They agree
 on any group whose classes are closed under inversion (A5, S3) and are
 separated by cyclic base groups; exhaustive small-window searches pin
-"direct" as the correct one (``RESOLVED_XI_VARIANT``).  Everything else uses
-that default; ``is_pm_commutator`` keeps its ``variant`` argument only so the
-acceptance gate can show that the inverted convention is refuted.
+"direct" as the correct one (``RESOLVED_XI_VARIANT``), and the walk agrees
+with it.  ``is_pm_commutator`` keeps its ``variant`` argument only so the
+acceptance gate can show that the inverted convention is refuted: "inverted"
+reads a weight-3 support with its first two values inverted.
 
 The mixed witnesses come from one search.  Write Sbar_k for the members of
 the generating set with shift k, so Sbar_1 = T+ and Sbar_-1 = T-, and K(x)
@@ -110,6 +102,30 @@ u = alpha(g1) . g1^-1 reads dec_(j+1) . dec_j^-1 = u_j at position j, and
 v = g2 . alpha(g2^-1) reads inc_j^-1 . inc_(j+1) = v_j; a hit closes both
 products, dec_w = inc_w = 1, so both vectors are trivial again past the last
 position (at -n, cyclically, on a truncation).
+
+Corollary (weight rule).  Let h_1 ... h_w be the support's values in index
+order.  Then h is mixed iff 1 lies in K(h_1) ... K(h_w), and so:
+
+* w = 0: yes;  w = 1: never, since 1 lies in K(a) only for a = 1;
+* w = 2: yes iff K(h_2) = K(h_1^-1);
+* w = 3: yes iff xi(h_1, h_2, h_3) holds;
+* w >= 4: yes whenever P satisfies S3 and |P| > 2.
+
+Proof.  The first claim is the walk on the span, as K(1) = {1}.  At w = 2,
+1 lies in K(a) K(b) iff some conjugate of b is the inverse of a conjugate of
+a, iff K(b) = K(a)^-1 = K(a^-1).  At w = 3, 1 lies in K(a) K(b) K(c) iff
+some conjugate of c lies in K(b^-1) K(a^-1); that set is a union of classes,
+so iff c does, which is xi(a, b, c).  At w >= 4, S3 gives
+K(h_1) K(h_2) K(h_3) >= P - {1}.  If Y = K(h_4) ... K(h_w) holds some y != 1,
+then y^-1 lies in that triple product and 1 = y^-1 . y is in the full one.
+Otherwise |Y| = 1, so every K(h_j) with j >= 4 is a singleton: h_4 is a
+central z != 1, and S3 on (z, z, z) gives {z^3} = K(z)^3 >= P - {1}, so
+|P| <= 2.
+
+The exception is real.  Z2 satisfies S3 as encoded, since K(z)^3 = {z} =
+P - {1}, yet (z, z, z, z, z) has class product {z} and is not mixed: no pair
+of factors over the vectors on 0..6 reaches it at positions 1..5, and
+``build_pm_commutator`` raises.  The rule would call it mixed.
 """
 
 from __future__ import annotations
@@ -119,17 +135,11 @@ from typing import Literal, Sequence
 
 from .groups import FiniteGroup, class_product
 from .lamp import LampElem
-from .props import SolverError, require_statements, xi
+from .props import SolverError, require_statements
 
 XI_VARIANTS = ("direct", "inverted")
 RESOLVED_XI_VARIANT = "direct"
-"""Argument variant of xi used in the weight-3 branch.
-
-The direct variant xi(h1, h2, h3) and the inverted variant
-xi(h1^-1, h2^-1, h3) coincide on bases whose classes are inverse-closed; the
-exhaustive small-window equivalence test over a cyclic base separates them
-and confirms the direct one.
-"""
+"""Argument variant of xi in the weight rule's weight-3 case (module docstring)."""
 PmOrder = Literal["+-", "-+"]
 
 
@@ -365,29 +375,18 @@ def build_2_commutator(h: LampElem, sign: int) -> CommWitness:
 
 
 def is_pm_commutator(h: LampElem, variant: str = RESOLVED_XI_VARIANT) -> bool:
-    """Decide the mixed-commutator property from the ordered support values."""
+    """Whether the shift-0 h is a mixed commutator: the class walk's backward
+    pass, h_(w-1) in N_0, that is 1 in K(h_0) ... K(h_(w-1)).  "inverted"
+    first inverts the first two values of a weight-3 support."""
     if variant not in XI_VARIANTS:
         raise ValueError(f"variant must be one of {XI_VARIANTS}")
-    if h.shift != 0:
-        raise ValueError("the mixed-commutator property applies at shift 0")
     base = h.base
-    values = h.support_values()
-    w = len(values)
-    if w == 0:
-        return True
-    if w == 1:
-        return False
-    if w == 2:
-        v1, v2 = values
-        class_of = base.conj_classes.class_of
-        return class_of[base.inv(v1)] == class_of[v2]
-    if w == 3:
-        v1, v2, v3 = values
-        if variant == "inverted":
-            v1, v2 = base.inv(v1), base.inv(v2)
-        return xi(base, v1, v2, v3)
-    require_statements(base, ("S3",))
-    return True
+    if variant == "inverted" and h.weight() == 3:
+        (i, a), (j, b), (k, c) = h.support
+        support = {i: base.inv(a), j: base.inv(b), k: c}
+        h = LampElem.make(base, support, h.shift, h.window)
+    _, values, feasible = _feasible_classes(h)
+    return base.conj_classes.class_of[values[-1]] in feasible[0]
 
 
 def reverse_element(x: LampElem, about: int = 0) -> LampElem:
@@ -426,13 +425,6 @@ def build_pm_commutator(h: LampElem, order: PmOrder = "-+") -> CommWitness:
             "not a mixed commutator: the class product of its values misses 1"
         )
     return CommWitness(("pm", "-+"), _walk_vectors(h.base, h.window, *walk))
-
-
-def pm_walk_hits(h: LampElem) -> bool:
-    """Whether the class walk hits, read off its backward pass alone:
-    h_(w-1) lies in N_0, that is 1 lies in K(h_0) ... K(h_(w-1))."""
-    _, values, feasible = _feasible_classes(h)
-    return h.base.conj_classes.class_of[values[-1]] in feasible[0]
 
 
 def _feasible_classes(h: LampElem) -> tuple[range, list[int], list[frozenset[int]]]:

@@ -170,6 +170,12 @@ class FiniteGroup:
         return pairs
 
     @cached_property
+    def derived_subgroup(self) -> frozenset[int]:
+        """[P,P], generated by the keys of ``_commutator_pairs``: they are the
+        whole commutator set, since its scan stops early only once that is P."""
+        return subgroup_closure(self, self._commutator_pairs)
+
+    @cached_property
     def conj_classes(self) -> ConjClassTable:
         """The group's one class table; it also memoizes class products."""
         return ConjClassTable(self)

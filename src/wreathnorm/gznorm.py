@@ -11,26 +11,21 @@ depends only on the shift and on cheap predicates of the torsion part:
     3            shift 0, weight >= 3, not a mixed commutator
     1            shift +-1 with telescoping torsion (the element lies in T+-)
     2            shift +-1 otherwise
-    |m|          |shift| = |m| > 1
+    |m|          |shift| = |m| > 1, the product of the torsion values in [P,P]
+    |m| + 1      |shift| = |m| > 1 otherwise
 
-One function, :func:`case_norm`, holds this table; its only parameter is the
-predicate for the mixed-commutator row.  Three predicates fill it:
+One function, :func:`case_norm`, holds this table, and one predicate decides
+its mixed row: ``is_pm_commutator``, the backward pass of the class walk of
+``commutators``, in the infinite group (:func:`norm_gz`) and on truncations
+(:func:`norm_truncated`) alike, for every support, full or with a gap.  The
+coset term of the last row vanishes on S1-S4 bases, where [P,P] = P, so it
+moves only truncations over other bases.
 
-* ``is_pm_commutator`` in the infinite group (:func:`norm_gz`);
-* ``pm_walk_hits`` on truncations (:func:`norm_truncated`), the backward
-  pass of the cyclic class walk;
-* in the acceptance gate, the acyclic predicate on the canonical
-  linearization.  It isolates nothing: on S3 w1, A4 w1 and S3 w2 its
-  disagreements with BFS are exactly the cyclic table's, and both show only
-  the |m| = 2 rows, where the table lacks the coset term of ROADMAP item 1.
-
-The weight-3 test uses the resolved argument order of xi
-(``RESOLVED_XI_VARIANT``, see ``commutators``).  On truncations both modes of
-:func:`norm_truncated` return one value, its shift-0 row decided by the class
-walk of ``commutators`` for every support, full or with a gap.  Only "theory"
-mode checks the hypotheses under which it is the exact norm: window size >= 7,
-mirroring the window margins of the almost-homomorphism construction, and a
-base satisfying S1-S4.  Elsewhere breadth-first search is authoritative.
+On truncations both modes of :func:`norm_truncated` return one value.  Only
+"theory" mode checks the hypotheses under which it is the exact norm: window
+size >= 7, mirroring the window margins of the almost-homomorphism
+construction, and a base satisfying S1-S4.  Elsewhere breadth-first search is
+authoritative.
 
 Where the shift-0 norm is below the weight, geodesics read their factors off
 a walk witness (g1, g2), in infinite mode too: the mixed pair is
@@ -45,7 +40,8 @@ x != h_last and s != 1; N_0, a product of classes, is never empty.  s^-1 . h
 reads x . h_last^-1 . h_last = x at the last position and agrees with h
 elsewhere.  The N_j are built from the values before the last position, so
 the walk on s^-1 . h has the same N_0 and hits.  Only truncations reach this
-row above weight 3: over an S3 base such weights are mixed.
+row above weight 3: over an S1-S4 base such weights are mixed (the weight
+rule in ``commutators``).
 """
 
 from __future__ import annotations
@@ -55,7 +51,6 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .commutators import (
-    RESOLVED_XI_VARIANT,  # re-exported: the recorded xi decision
     _feasible_classes,
     _walk_vectors,
     build_2_commutator,
@@ -64,7 +59,6 @@ from .commutators import (
     factor_minus,
     factor_plus,
     is_pm_commutator,
-    pm_walk_hits,
 )
 from .lamp import LampElem, in_Sbar, in_Tminus, in_Tplus
 from .norms import fmt_fraction
@@ -75,16 +69,17 @@ def _torsion(g: LampElem) -> LampElem:
     return LampElem.make(g.base, dict(g.support), 0, g.window)
 
 
-def case_norm(g: LampElem, mixed: Callable[[LampElem], bool]) -> int:
-    """The case table; ``mixed`` decides the shift-0 rows of weight >= 3."""
+def case_norm(g: LampElem) -> int:
+    """The case table of the module docstring."""
     m, w = g.shift, g.weight()
     if m == 0:
         if w <= 2:
             return w
-        return 2 if mixed(g) else 3
+        return 2 if is_pm_commutator(g) else 3
     if abs(m) == 1:
         return 1 if (in_Tplus(g) or in_Tminus(g)) else 2
-    return abs(m)
+    base = g.base
+    return abs(m) + (base.mul_many(g.support_values()) not in base.derived_subgroup)
 
 
 def norm_gz(g: LampElem) -> int:
@@ -92,7 +87,7 @@ def norm_gz(g: LampElem) -> int:
     if g.window is not None:
         raise ValueError("norm_gz expects infinite mode; see norm_truncated")
     require_statements(g.base, ("S1", "S2", "S3", "S4"))
-    return case_norm(g, is_pm_commutator)
+    return case_norm(g)
 
 
 def norm_truncated(g: LampElem, mode: str = "oracle") -> int:
@@ -112,7 +107,7 @@ def norm_truncated(g: LampElem, mode: str = "oracle") -> int:
         require_statements(g.base, ("S1", "S2", "S3", "S4"))
     elif mode != "oracle":
         raise ValueError("mode must be 'theory' or 'oracle'")
-    return case_norm(g, pm_walk_hits)
+    return case_norm(g)
 
 
 # -- geodesics -----------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from wreathnorm.acceptance import random_pseudo_norm
 from wreathnorm.groups import builtin_group
 from wreathnorm.norms import conjugacy_closure, integer_round, word_norm_bfs
+from wreathnorm.props import require_statements, xi
 
 
 @pytest.fixture(scope="session")
@@ -53,3 +54,29 @@ def c8_tables(s3):
         raw = random_pseudo_norm(rng, s3)
         tables += [raw, integer_round(raw)]
     return tables
+
+
+@pytest.fixture(scope="session")
+def weight_rule():
+    """The paper's mixed-commutator rule by support weight, the reference for
+    ``is_pm_commutator``: weight 2 is a conjugacy test, weight 3 reads xi (the
+    "inverted" variant on its first two values inverted), and weight >= 4 is
+    always mixed over a base satisfying S3."""
+
+    def rule(h, variant="direct"):
+        base = h.base
+        values = h.support_values()
+        if len(values) <= 1:
+            return not values
+        if len(values) == 2:
+            a, b = values
+            return base.first_conjugator(base.inv(a), b) is not None
+        if len(values) == 3:
+            a, b, c = values
+            if variant == "inverted":
+                a, b = base.inv(a), base.inv(b)
+            return xi(base, a, b, c)
+        require_statements(base, ("S3",))
+        return True
+
+    return rule

@@ -39,7 +39,7 @@ def test_criterion(criterion):
 
 # sha256 of the criterion rows of ``selftest --scale full`` (seed 0), serialized
 # as the command prints them (sorted keys, indent 2) with ``elapsed_s`` removed
-REPORT_ROWS_SHA256 = "f293909392c8a773c5811f2b152969f9c3d81253e5fca0ba66649726ff2a8636"
+REPORT_ROWS_SHA256 = "b02524229af6b3ae9a715a6b184c45b30f26a034ef367b9d472232bbb56db0f4"
 
 
 def test_report_rows_pinned():
@@ -60,7 +60,7 @@ def test_quick_tier():
 def test_xi_variant_resolution_recorded():
     result = _result(acceptance.criterion_4)
     assert result.details["resolved_xi_variant"] == "direct"
-    from wreathnorm.gznorm import RESOLVED_XI_VARIANT
+    from wreathnorm.commutators import RESOLVED_XI_VARIANT
 
     assert RESOLVED_XI_VARIANT == "direct"
 

@@ -14,7 +14,6 @@ from wreathnorm.commutators import (
     factor_minus,
     factor_plus,
     is_pm_commutator,
-    pm_walk_hits,
     reverse_element,
     transport,
     verify_witness,
@@ -184,17 +183,69 @@ def test_pm_weight3_matches_xi_and_builder(a5):
                 build_pm_commutator(h)
 
 
-def test_pm_weight4_always_builds(a5):
+def test_pm_weight4_always_builds(a5, weight_rule):
     rng = random.Random(6)
     for _ in range(120):
         h = rand_torsion(rng, a5, max_w=7, span=5)
         while h.weight() < 4:
             h = rand_torsion(rng, a5, max_w=7, span=5)
-        assert is_pm_commutator(h)
+        assert is_pm_commutator(h) and weight_rule(h)
         for order in ("-+", "+-"):
             w = build_pm_commutator(h, order)
             assert w.kind == ("pm", order)
             assert verify_witness(h, w)
+
+
+@pytest.mark.parametrize("name", ["S3", "A4", "S4", "Z3"])
+def test_pm_decision_is_the_weight_rule_at_weight_3_and_below(name, weight_rule):
+    # every support on two position sets, one of them with gaps, in both
+    # argument variants of the weight-3 case
+    base = builtin_group(name)
+    weights = Counter()
+    for positions in ((1, 2, 3), (0, 2, 5)):
+        for choice in product(range(len(base)), repeat=3):
+            h = LampElem.make(base, dict(zip(positions, choice)), 0)
+            for variant in ("direct", "inverted"):
+                assert is_pm_commutator(h, variant) == weight_rule(h, variant)
+            weights[h.weight(), is_pm_commutator(h)] += 1
+    assert set(weights) == {(0, True), (1, False)} | {
+        (w, mixed) for w in (2, 3) for mixed in (True, False)
+    }
+
+
+@pytest.mark.parametrize("name", ["S3", "Z3"])
+def test_pm_decision_is_the_pair_image_on_four_positions(name):
+    # every support on 1..4, weight 4 included, against both orders of the
+    # exhaustive pair search over the vectors on 1..4
+    base = builtin_group(name)
+    positions = (1, 2, 3, 4)
+    image = pm_pair_image(base, positions, "-+") | pm_pair_image(base, positions, "+-")
+    outcomes = Counter()
+    for choice in product(range(len(base)), repeat=4):
+        h = LampElem.make(base, dict(zip(positions, choice)), 0)
+        mixed = is_pm_commutator(h)
+        assert mixed == (h.support in image)
+        outcomes[h.weight() == 4, mixed] += 1
+    assert outcomes[True, True] and outcomes[True, False]
+
+
+def test_weight_rule_fails_on_z2_at_weight_5(weight_rule):
+    # Z2 satisfies S3 as encoded, so the rule calls (z, z, z, z, z) mixed; its
+    # class product is {z}, and neither the walk nor the pair search agrees
+    z2 = builtin_group("Z2")
+    z = 1
+    h = LampElem.make(z2, {i: z for i in range(1, 6)}, 0)
+    assert weight_rule(h)
+    assert not is_pm_commutator(h)
+    positions = tuple(range(0, 7))
+    image = pm_pair_image(z2, positions, "-+") | pm_pair_image(z2, positions, "+-")
+    assert h.support not in image
+    for order in ("-+", "+-"):
+        with pytest.raises(SolverError):
+            build_pm_commutator(h, order)
+    # at even weight the rule and the walk agree again
+    h4 = LampElem.make(z2, {i: z for i in range(1, 5)}, 0)
+    assert is_pm_commutator(h4) and weight_rule(h4) and h4.support in image
 
 
 def test_reverse_element_swaps_factor_shapes(a5):
@@ -259,7 +310,7 @@ def test_truncated_pm_builder_matches_the_decision(name, window, samples):
     outcomes = Counter()
     for values in rows:
         h = LampElem.make(base, dict(zip(positions, values)), 0, window)
-        mixed = pm_walk_hits(h)
+        mixed = is_pm_commutator(h)
         if bfs is not None and h.weight() >= 3:
             # two shift-0 factors reach weight 2 at most
             assert mixed == (bfs.norm_of(h) == 2)

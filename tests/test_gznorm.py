@@ -5,18 +5,15 @@ from itertools import product
 
 import pytest
 
-from wreathnorm.acceptance import acyclic_mixed
 from wreathnorm.commutators import (
     SolverError,
     build_pm_commutator,
     factor_minus,
     factor_plus,
     is_pm_commutator,
-    pm_walk_hits,
 )
 from wreathnorm.groups import CapExceededError, builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
-    case_norm,
     check_geodesic,
     geodesic,
     max_extent,
@@ -194,7 +191,7 @@ def test_truncated_geodesics(a5):
 def test_pm_truncated_full_support_cyclic_search(s3):
     # weight-2 full-window targets don't exist; use window 1 and weight 3
     yes = LampElem.make(s3, {-1: 3, 0: 3, 1: 3}, 0, window=1)
-    result = pm_walk_hits(yes)
+    result = is_pm_commutator(yes)
     # cross-check against a brute-force over the tiny truncation
     res = bfs_norms(s3, 1)
     assert result == (res.norm_of(yes) == 2)
@@ -273,7 +270,7 @@ def test_cyclic_search_kernel_matches_reference(name, window, samples):
         assert expected is None or expected[0] == "-+"
         assert found == (None if expected is None else expected[1:])
         # the decision reads the backward pass alone
-        assert pm_walk_hits(h) == (expected is not None)
+        assert is_pm_commutator(h) == (expected is not None)
         outcomes[found is not None] += 1
     assert outcomes[False] and outcomes[True]
 
@@ -377,6 +374,26 @@ def test_shift0_geodesics_match_bfs_s3w2(s3):
     assert set(lengths) == {0, 1, 2, 3}
 
 
+def test_shift2_geodesics_s3w2_raise_or_have_the_table_length(s3):
+    # |m| = 2 on a base with [P,P] != P: the table adds the coset term, and a
+    # geodesic either refuses (the two-factor builder needs S1 and S2, and a
+    # margin in the window) or has the table's length
+    norms = Counter()
+    for values in product(range(len(s3)), repeat=5):
+        for shift in (2, -2):
+            g = LampElem.make(s3, dict(zip(range(-2, 3), values)), shift, window=2)
+            value = norm_truncated(g)
+            norms[value] += 1
+            try:
+                geo = geodesic(g)
+            except ValueError:
+                continue
+            assert check_geodesic(geo)
+            assert len(geo) == value
+    assert sum(norms.values()) == 15552
+    assert set(norms) == {2, 3}
+
+
 # (base, window, seeded sample size) of shift-0 states, identity values included
 SAMPLED_GEODESIC_STATES = [("A4", 2, 400), ("S3", 4, 400), ("A5", 2, 200), ("A5", 3, 200)]
 
@@ -415,8 +432,11 @@ GAP_STATES = [("S3", 2, None), ("A4", 1, None), ("A5", 3, 3000), ("A5", 9, 3000)
     GAP_STATES,
     ids=[f"{name}w{window}" for name, window, _ in GAP_STATES],
 )
-def test_class_walk_with_a_gap_matches_the_acyclic_test(name, window, samples):
-    # With a gap in the support the acyclic class-product test applies, and
+def test_class_walk_with_a_gap_matches_the_acyclic_test(
+    name, window, samples, weight_rule
+):
+    # With a gap in the support the walk's class product is the acyclic one
+    # of the values in index order, which the paper's weight rule decides;
     # over A5 (statement S3) weight >= 4 is always mixed.
     base = builtin_group(name)
     positions = range(-window, window + 1)
@@ -437,71 +457,39 @@ def test_class_walk_with_a_gap_matches_the_acyclic_test(name, window, samples):
         weight = h.weight()
         if not 2 <= weight < len(positions):
             continue
-        mixed = pm_walk_hits(h)
-        if weight <= 3:
-            assert mixed == is_pm_commutator(h)
-        else:
-            assert name == "S3" or mixed
+        mixed = is_pm_commutator(h)
+        if weight <= 3 or name != "S3":
+            assert mixed == weight_rule(h)
         outcomes[min(weight, 4), mixed] += 1
     assert {mixed for weight, mixed in outcomes if weight <= 3} == {True, False}
     if name == "A5":
         assert outcomes[4, True]
 
 
-def test_oracle_mode_shift0_weight4_and_5_against_bfs(s3):
-    # The S3 w2 states that test_case_tables_against_bfs leaves out: every
-    # shift-0 state of weight >= 4, each decided by the cyclic search.
-    res = bfs_norms(s3, 2)
-    disagree = Counter()
-    checked = 0
-    for values in product(range(len(s3)), repeat=5):
-        g = LampElem.make(s3, dict(zip(range(-2, 3), values)), 0, window=2)
-        if g.weight() < 4:
-            continue
-        checked += 1
-        value = norm_truncated(g, mode="oracle")
-        bfs_val = int(res.distances[res.group.encode(g)])
-        if value != bfs_val:
-            disagree[value, bfs_val] += 1
-    assert checked == 6250
-    assert dict(disagree) == {}
-
-
 # (base, window) -> states compared and the disagreements with BFS, as
-# (shift, table value, BFS value) -> count; the same for both tables
+# (shift, table value, BFS value) -> count
 CASE_TABLE_PINS = {
     ("S3", 1): (648, {}),
     ("A4", 1): (5184, {}),
-    ("S3", 2): (32630, {(2, 2, 3): 3888, (-2, 2, 3): 3888}),
+    ("S3", 2): (38880, {}),
 }
 
 
 @pytest.mark.parametrize("name, window", list(CASE_TABLE_PINS), ids=["S3w1", "A4w1", "S3w2"])
 def test_case_tables_against_bfs(name, window):
-    # Oracle-mode norm_truncated (cyclic predicates) and the acyclic table of
-    # criterion C5 against BFS.  Shift-0 weight >= 4 is left out; on S3 w2
-    # test_oracle_mode_shift0_weight4_and_5_against_bfs covers it.
+    # Oracle-mode norm_truncated against BFS on every state: S3 w2 has the
+    # |m| = 2 rows, where the coset term counts, and shift-0 weights 4 and 5.
     res = bfs_norms(builtin_group(name), window)
-    tables = {
-        "cyclic": lambda g: norm_truncated(g, mode="oracle"),
-        "acyclic": lambda g: case_norm(g, acyclic_mixed),
-    }
-    disagree = {key: Counter() for key in tables}
-    checked = 0
+    disagree = Counter()
     for code in range(len(res.group)):
         g = res.group.decode(code)
-        if g.shift == 0 and g.weight() >= 4:
-            continue
-        checked += 1
+        value = norm_truncated(g, mode="oracle")
         bfs_val = int(res.distances[code])
-        for key, table in tables.items():
-            value = table(g)
-            if value != bfs_val:
-                disagree[key][(g.shift, value, bfs_val)] += 1
+        if value != bfs_val:
+            disagree[g.shift, value, bfs_val] += 1
     expected_checked, expected = CASE_TABLE_PINS[name, window]
-    assert checked == expected_checked
-    assert dict(disagree["cyclic"]) == expected
-    assert dict(disagree["acyclic"]) == expected
+    assert len(res.group) == expected_checked
+    assert dict(disagree) == expected
 
 
 def test_phi_rows(a5):
