@@ -15,7 +15,6 @@ from .groups import (
     builtin_group,
     compose,
     conjugacy_classes,
-    class_product,
     generate_group,
     parse_group_spec,
     perm_from_cycles,

@@ -227,7 +227,7 @@ def _pm_equivalence_small(base: FiniteGroup) -> dict:
 
 def _pm_equivalence_a5_reps() -> dict:
     base = group("A5")
-    reps = [r for r in base.conj_classes.representatives() if r != base.identity_index]
+    reps = [r for r in base.conj_classes.reps if r != base.identity_index]
     counts = {"triples": 0, "direct_mismatch": 0, "inverted_mismatch": 0}
     for v1 in reps:
         for v2 in reps:

@@ -133,7 +133,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Sequence
 
-from .groups import FiniteGroup, class_product
+from .groups import FiniteGroup
 from .lamp import LampElem
 from .props import SolverError, require_statements
 
@@ -386,7 +386,7 @@ def is_pm_commutator(h: LampElem, variant: str = RESOLVED_XI_VARIANT) -> bool:
         support = {i: base.inv(a), j: base.inv(b), k: c}
         h = LampElem.make(base, support, h.shift, h.window)
     _, values, feasible = _feasible_classes(h)
-    return base.conj_classes.class_of[values[-1]] in feasible[0]
+    return bool(feasible[0] >> base.conj_classes.class_of[values[-1]] & 1)
 
 
 def reverse_element(x: LampElem, about: int = 0) -> LampElem:
@@ -420,22 +420,21 @@ def build_pm_commutator(h: LampElem, order: PmOrder = "-+") -> CommWitness:
     if order != "-+":
         raise ValueError("order must be '+-' or '-+'")
     _, values, feasible = walk = _feasible_classes(h)
-    if h.base.conj_classes.class_of[values[-1]] not in feasible[0]:
+    if not feasible[0] >> h.base.conj_classes.class_of[values[-1]] & 1:
         raise SolverError(
             "not a mixed commutator: the class product of its values misses 1"
         )
     return CommWitness(("pm", "-+"), _walk_vectors(h.base, h.window, *walk))
 
 
-def _feasible_classes(h: LampElem) -> tuple[range, list[int], list[frozenset[int]]]:
+def _feasible_classes(h: LampElem) -> tuple[range, list[int], list[int]]:
     """The walk's backward pass: its positions (the window, or the support's
-    span), h's values there, and N_0 ... N_(w-1) as sets of class ids."""
+    span), h's values there, and N_0 ... N_(w-1) as class-id bitmasks."""
     if h.shift != 0:
         raise ValueError("mixed commutators have shift 0")
     base = h.base
     table = base.conj_classes
-    class_of, reps = table.class_of, table.representatives()
-    ident = base.identity_index
+    class_of, ident = table.class_of, base.identity_index
     if h.window is not None:
         positions = range(-h.window, h.window + 1)
     elif h.support:
@@ -444,15 +443,13 @@ def _feasible_classes(h: LampElem) -> tuple[range, list[int], list[frozenset[int
         positions = range(0, 1)
     given = dict(h.support)
     values = [given.get(i, ident) for i in positions]
-    every = frozenset(range(len(reps)))
-    feasible = [frozenset((class_of[ident],))]
+    every = (1 << len(table.reps)) - 1
+    feasible = [1 << class_of[ident]]
     for value in reversed(values[:-1]):
         after = feasible[-1]
         # K(1) . N = N, and N = P stays P
         if value != ident and after != every:
-            k = class_of[base.inv(value)]
-            reach = set().union(*(class_product(base, k, c) for c in after))
-            after = frozenset(c for c, r in enumerate(reps) if r in reach)
+            after = table.times(class_of[base.inv(value)], after)
         feasible.append(after)
     feasible.reverse()
     return positions, values, feasible
@@ -463,7 +460,7 @@ def _walk_vectors(
     window: int | None,
     positions: range,
     values: list[int],
-    feasible: list[frozenset[int]],
+    feasible: list[int],
 ) -> tuple[LampElem, LampElem]:
     """The walk's forward pass on a hit, taking the least feasible u_j at each
     free position: the "-+" witness vectors g1_j = dec_j, g2_j = inc_j^-1."""
@@ -477,7 +474,7 @@ def _walk_vectors(
         # p_j is feasible, so some u_j keeps p_(j+1) feasible
         for u in range(len(base)):
             nxt_inc, nxt_dec = mul[inc][mul[inv[u]][value]], mul[u][dec]
-            if class_of[mul[mul[nxt_inc][nxt_dec]][last]] in allowed:
+            if allowed >> class_of[mul[mul[nxt_inc][nxt_dec]][last]] & 1:
                 break
         inc, dec = nxt_inc, nxt_dec
         g1[i], g2[i] = dec, inv[inc]

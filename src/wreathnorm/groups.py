@@ -8,10 +8,11 @@ taken in input order, so every derived table is reproducible bit for bit.
 
 Groups are immutable after construction apart from derived tables, which are
 computed on first use and cached on the group itself.  Each group has exactly
-one conjugacy-class table, ``FiniteGroup.conj_classes``: ``conjugacy_classes``
-returns it, ``class_product`` memoizes on it, and ``normal_closure`` and
-``is_normal`` read it.  The S1-S4 reports of ``props`` are cached on the group
-the same way, so nothing here is keyed on ``id()``.
+one conjugacy-class table, ``FiniteGroup.conj_classes``, and it holds the
+group's class algebra: which classes each product of two classes meets, as
+class-id bitmasks.  ``conjugacy_classes`` returns it; ``derived_subgroup``,
+``normal_closure`` and ``is_normal`` read it.  The S1-S4 reports of ``props``
+are cached on the group the same way, so nothing here is keyed on ``id()``.
 """
 
 from __future__ import annotations
@@ -171,13 +172,16 @@ class FiniteGroup:
 
     @cached_property
     def derived_subgroup(self) -> frozenset[int]:
-        """[P,P], generated by the keys of ``_commutator_pairs``: they are the
-        whole commutator set, since its scan stops early only once that is P."""
-        return subgroup_closure(self, self._commutator_pairs)
+        """[P,P], generated by the classes of the commutator set."""
+        table = self.conj_classes
+        commutators = table.commutators
+        return subgroup_closure(
+            self, (a for a, c in enumerate(table.class_of) if commutators >> c & 1)
+        )
 
     @cached_property
     def conj_classes(self) -> ConjClassTable:
-        """The group's one class table; it also memoizes class products."""
+        """The group's one class table, with its class products."""
         return ConjClassTable(self)
 
     @cached_property
@@ -224,13 +228,26 @@ def generate_group(
 
 
 class ConjClassTable:
-    """Partition of a group into conjugacy classes, with memoized class products.
+    """Partition of a group into conjugacy classes, and the products of classes.
 
-    ``class_of[i]`` is the class id of element i; ``classes[c]`` is the set of
-    element indices in class c.  Class ids are assigned in order of first
-    appearance along the element order, so the identity is always class 0 and
-    the class minima, ``representatives()``, ascend with the class id.
-    ``products`` caches :func:`class_product` results by class-id pair.
+    ``class_of[i]`` is the class id of element i, ``classes[c]`` the set of
+    element indices in class c and ``reps[c]`` its least member.  Class ids are
+    assigned in order of first appearance along the element order, so
+    ``reps`` ascends with the class id.  The identity's class is
+    ``class_of[group.identity_index]``: class 0 when the identity is element
+    0, as in every group ``generate_group`` builds, but not in every group
+    ``FiniteGroup.from_elements`` wraps.
+
+    A set of classes is a bitmask, bit c for class c.  ``mult[c1][c2]`` is the
+    set of classes that K(c1) . K(c2) meets; a product of classes is a union
+    of classes, so it is that union.  Lemma: x^-1 a x . b =
+    x^-1 (a . x b x^-1) x, so every product is conjugate to one whose left
+    factor is ``reps[c1]``, and the row is read off the |P| products
+    ``reps[c1] . K(c2)``.  ``commutators`` is the set C of commutators
+    x^-1 y x y^-1 = x^-1 . (y x y^-1).  Each lies in K(x^-1) . K(x), and by the
+    lemma each element of K(c) . K(c^-1) is conjugate to r . (y r^-1 y^-1)
+    with r = ``reps[c]``, a commutator; so C is the union over c of
+    K(c) . K(c^-1).
     """
 
     def __init__(self, group: FiniteGroup):
@@ -247,35 +264,35 @@ class ConjClassTable:
             classes.append(frozenset(members))
         self.class_of: tuple[int, ...] = tuple(class_of)
         self.classes: tuple[frozenset[int], ...] = tuple(classes)
-        self.products: dict[tuple[int, int], frozenset[int]] = {}
+        self.reps: tuple[int, ...] = tuple(min(c) for c in classes)
+        self.mult: tuple[tuple[int, ...], ...] = tuple(
+            tuple(sum(1 << c for c in {class_of[row[b]] for b in k}) for k in classes)
+            for row in (group._mul_table[r] for r in self.reps)
+        )
+        self.commutators: int = 0
+        for c, r in enumerate(self.reps):
+            self.commutators |= self.mult[c][class_of[group.inv(r)]]
 
     def sizes(self) -> list[int]:
         return [len(c) for c in self.classes]
 
-    def representatives(self) -> list[int]:
-        return [min(c) for c in self.classes]
+    def times(self, c: int, mask: int) -> int:
+        """The set of classes that K(c) . N meets, for N the classes in mask."""
+        row, out = self.mult[c], 0
+        while mask:
+            bit = mask & -mask  # the lowest class left in mask
+            mask ^= bit
+            out |= row[bit.bit_length() - 1]
+        return out
+
+    def least(self, mask: int) -> int:
+        """The least element of a non-empty set of classes."""
+        return self.reps[(mask & -mask).bit_length() - 1]
 
 
 def conjugacy_classes(group: FiniteGroup) -> ConjClassTable:
     """The group's class table, ``group.conj_classes`` (built on first use)."""
     return group.conj_classes
-
-
-def class_product(group: FiniteGroup, c1: int, c2: int) -> frozenset[int]:
-    """All products a*b with a in class c1 and b in class c2 (memoized on
-    ``group.conj_classes``)."""
-    table = group.conj_classes
-    product = table.products.get((c1, c2))
-    if product is not None:
-        return product
-    if not (0 <= c1 < len(table.classes) and 0 <= c2 < len(table.classes)):
-        raise ValueError("invalid class id")
-    out = set()
-    for a in table.classes[c1]:
-        row = group._mul_table[a]
-        out.update(row[b] for b in table.classes[c2])
-    product = table.products[(c1, c2)] = frozenset(out)
-    return product
 
 
 def subgroup_closure(group: FiniteGroup, seed: Iterable[int]) -> frozenset[int]:

@@ -152,7 +152,7 @@ def geodesic(g: LampElem) -> Geodesic:
         else:
             # the norm-3 lemma of the module docstring
             positions, values, feasible = _feasible_classes(torsion)
-            x = base.conj_classes.representatives()[min(feasible[0])]
+            x = base.conj_classes.least(feasible[0])
             last = base.mul(values[-1], base.inv(x))
             head = (LampElem.single(base, positions[-1], last, window),)
             values[-1] = x

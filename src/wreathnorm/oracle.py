@@ -142,7 +142,7 @@ class TruncatedGroup:
             "mul": mul.ravel(),  # a * b at a * |P| + b
             "inv": np.array(self.base._inv_table, dtype=np.int64),
             # the least element of each element's class
-            "least": np.array(classes.representatives())[list(classes.class_of)],
+            "least": np.array(classes.reps)[list(classes.class_of)],
             "radix": np.array(
                 [b ** (self.code.width - 1 - j) for j in range(self.code.width)],
                 dtype=np.int64,

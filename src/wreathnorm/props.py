@@ -1,24 +1,24 @@
 """The four base-group conditions S1-S4 and the class-product predicate Xi.
 
 ``xi(P, u1, u2, u3)`` holds iff u3 lies in the product of the conjugacy
-classes of u2^-1 and u1^-1, read from the group's one class table
-(``FiniteGroup.conj_classes``, which memoizes class products).  Class products
-commute as sets, so xi is fully symmetric in its three arguments.
+classes of u2^-1 and u1^-1, one bit of the group's class-product table
+(``FiniteGroup.conj_classes.mult``).  Class products commute as sets, so xi
+is fully symmetric in its three arguments.
 
-Every checker reads ``class_product`` only.  Let C be the set of commutators
-x^-1 y x y^-1 and K(x) the class of x.  C is the union over x of x^-1 K(x),
-and, being closed under conjugation, the union over classes c of
-``class_product(K(c^-1), c)``.  S1: with y' = a1^-1 y, x^-1 a1^-1 y x y^-1 =
-(x^-1 y' x y'^-1) a1^-1, so a1 reaches C a1^-1, the whole group iff C is.
-S2: conjugating its equation by a3 gives S1's, a3^-1 R2(a1, a3) a3 = R1(a1).
-As encoded, S1 and S2 are thus one statement, C = P (O. Ore proved it for
-A_n, Proc. AMS 2, 1951), with witnesses (1, min(P - C)) and (1, min(P - C), 1):
-``generate_group`` lists the identity first, so these are the first failures
-of the scans over a1 (and a3) in element order.  S3: a product of two classes
-is a union of classes, so the triple product is the union of
-``class_product(d, c3)`` over the classes d in the pair product.
-``_check_S3_raw`` and ``xi_naive`` evaluate raw tuples and survive as slow
-oracles for cross-checks.
+Every checker reads that table only, as class-id bitmasks.  Let C be the set
+of commutators x^-1 y x y^-1, a union of classes (``conj_classes.commutators``).
+S1: with y' = a1^-1 y, x^-1 a1^-1 y x y^-1 = (x^-1 y' x y'^-1) a1^-1, so a1
+reaches C a1^-1, the whole group iff C is.  S2: conjugating its equation by
+a3 gives S1's, a3^-1 R2(a1, a3) a3 = R1(a1).  As encoded, S1 and S2 are thus
+one statement, C = P (O. Ore proved it for A_n, Proc. AMS 2, 1951), with
+witnesses (1, min(P - C)) and (1, min(P - C), 1): ``generate_group`` lists
+the identity first, so these are the first failures of the scans over a1
+(and a3) in element order.  S3: a product of two classes is a union of
+classes, so the triple product is the product of the pair product's classes
+with the third class.  Class minima ascend with the class id, so the least
+element outside a union of classes is the least member of its least missing
+class, and every witness reads ``conj_classes.least``.  ``xi_naive``
+evaluates raw tuples and survives as a slow oracle for cross-checks.
 
 ``check_all``, ``statement_holds``, ``require_statements`` and
 ``satisfies_s_conditions`` share one report cache on the group, so each
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import FiniteGroup, class_product
+from .groups import FiniteGroup
 
 
 class SolverError(RuntimeError):
@@ -54,10 +54,9 @@ class PropReport:
 
 def xi(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
     """True iff u3 = x^-1 u2^-1 x y^-1 u1^-1 y is solvable."""
-    table = group.conj_classes
-    c2 = table.class_of[group.inv(u2)]
-    c1 = table.class_of[group.inv(u1)]
-    return u3 in class_product(group, c2, c1)
+    class_of = group.conj_classes.class_of
+    row = group.conj_classes.mult[class_of[group.inv(u2)]]
+    return bool(row[class_of[group.inv(u1)]] >> class_of[u3] & 1)
 
 
 def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
@@ -76,10 +75,8 @@ def xi_naive(group: FiniteGroup, u1: int, u2: int, u3: int) -> bool:
 def _first_non_commutator(group: FiniteGroup) -> int | None:
     """min(P - C) for the commutator set C, or None when C = P."""
     table = group.conj_classes
-    commutators: set[int] = set()
-    for c, rep in enumerate(table.representatives()):
-        commutators.update(class_product(group, table.class_of[group.inv(rep)], c))
-    return next((a for a in range(len(group)) if a not in commutators), None)
+    missing = ((1 << len(table.reps)) - 1) & ~table.commutators
+    return table.least(missing) if missing else None
 
 
 def check_S1(group: FiniteGroup) -> PropReport:
@@ -99,45 +96,26 @@ def check_S2(group: FiniteGroup) -> PropReport:
     return PropReport("S2", False, (ident, a2, ident))
 
 
+def _nontrivial(group: FiniteGroup) -> tuple[list[int], int]:
+    """The non-trivial class ids, ascending, and their set as a mask."""
+    trivial = group.conj_classes.class_of[group.identity_index]
+    ids = [c for c in range(len(group.conj_classes.reps)) if c != trivial]
+    return ids, sum(1 << c for c in ids)
+
+
 def check_S3(group: FiniteGroup) -> PropReport:
     """S3: products of any three non-trivial classes cover the non-identity part."""
     table = group.conj_classes
-    ident = group.identity_index
-    reps = table.representatives()
-    nontrivial = [c for c, r in enumerate(reps) if r != ident]
-    full = frozenset(range(len(group))) - {ident}
+    reps = table.reps
+    nontrivial, wanted = _nontrivial(group)
     for c1 in nontrivial:
         for c2 in nontrivial:
-            pair = {table.class_of[w] for w in class_product(group, c1, c2)}
+            pair = table.mult[c1][c2]
             for c3 in nontrivial:
-                covered = set()
-                for d in pair:
-                    covered.update(class_product(group, d, c3))
-                if not full <= covered:
-                    u4 = min(full - covered)
+                missing = wanted & ~table.times(c3, pair)
+                if missing:
+                    u4 = table.least(missing)
                     return PropReport("S3", False, (reps[c1], reps[c2], reps[c3], u4))
-    return PropReport("S3", True, None)
-
-
-def _check_S3_raw(group: FiniteGroup) -> PropReport:
-    ident = group.identity_index
-    n = len(group)
-    nontrivial = [i for i in range(n) if i != ident]
-    for u1 in nontrivial:
-        for u2 in nontrivial:
-            for u3 in nontrivial:
-                covered = set()
-                for x in range(n):
-                    a = group.conj(u1, x)
-                    for y in range(n):
-                        ab = group.mul(a, group.conj(u2, y))
-                        row = group._mul_table[ab]
-                        covered.update(
-                            row[group.conj(u3, z)] for z in range(n)
-                        )
-                for u4 in nontrivial:
-                    if u4 not in covered:
-                        return PropReport("S3", False, (u1, u2, u3, u4))
     return PropReport("S3", True, None)
 
 
@@ -147,17 +125,14 @@ def check_S4(group: FiniteGroup) -> PropReport:
     The witness is a realizing triple (u1, u2, u3) with xi(u1, u2, u3) false.
     """
     table = group.conj_classes
-    ident = group.identity_index
-    nontrivial = [r for r in table.representatives() if r != ident]
-    for u1 in nontrivial:
-        for u2 in nontrivial:
-            c2, c1 = table.class_of[group.inv(u2)], table.class_of[group.inv(u1)]
-            prod = class_product(group, c2, c1)
-            missing = [
-                u3 for u3 in range(len(group)) if u3 != ident and u3 not in prod
-            ]
+    class_of, inv = table.class_of, group.inv
+    nontrivial, wanted = _nontrivial(group)
+    reps = [table.reps[c] for c in nontrivial]
+    for u1 in reps:
+        for u2 in reps:
+            missing = wanted & ~table.mult[class_of[inv(u2)]][class_of[inv(u1)]]
             if missing:
-                return PropReport("S4", True, (u1, u2, min(missing)))
+                return PropReport("S4", True, (u1, u2, table.least(missing)))
     return PropReport("S4", False, None)
 
 

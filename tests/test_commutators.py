@@ -7,6 +7,7 @@ import pytest
 from wreathnorm.commutators import (
     CommWitness,
     SolverError,
+    _feasible_classes,
     build_2_commutator,
     build_pm1_decomposition,
     build_pm_commutator,
@@ -227,6 +228,45 @@ def test_pm_decision_is_the_pair_image_on_four_positions(name):
         assert mixed == (h.support in image)
         outcomes[h.weight() == 4, mixed] += 1
     assert outcomes[True, True] and outcomes[True, False]
+
+
+@pytest.mark.parametrize("spec", ["A5", "S4", "s3_reordered"])
+def test_walk_backward_pass_matches_pairwise_products(
+    spec, group_of, pairwise_product, class_mask
+):
+    # N_(w-1) = {1} and N_j = K(h_j^-1) . N_(j+1), as element sets
+    base = group_of(spec)
+    table = base.conj_classes
+    rng = random.Random(f"walk masks {spec}")
+    elements = [rand_torsion(rng, base, max_w=5, span=3) for _ in range(20)]
+    elements += [
+        LampElem.make(base, {i: rng.randrange(len(base)) for i in range(-2, 3)}, 0, 2)
+        for _ in range(10)
+    ]
+    for h in elements:
+        _, values, feasible = _feasible_classes(h)
+        reach = {base.identity_index}
+        expected = [class_mask(base, reach)]
+        for value in reversed(values[:-1]):
+            klass = table.classes[table.class_of[base.inv(value)]]
+            reach = pairwise_product(base, klass, reach)
+            expected.append(class_mask(base, reach))
+        assert feasible == expected[::-1]
+        assert is_pm_commutator(h) == (values[-1] in reach)
+
+
+def test_walk_on_a_base_whose_identity_is_not_element_0(s3_reordered):
+    base = s3_reordered
+    mixed = 0
+    for choice in product(range(len(base)), repeat=3):
+        h = LampElem.make(base, dict(zip((1, 2, 3), choice)), 0)
+        if is_pm_commutator(h):
+            mixed += 1
+            assert verify_witness(h, build_pm_commutator(h))
+        else:
+            with pytest.raises(SolverError):
+                build_pm_commutator(h)
+    assert mixed == 102
 
 
 def test_weight_rule_fails_on_z2_at_weight_5(weight_rule):

@@ -7,7 +7,6 @@ from wreathnorm.groups import (
     FiniteGroup,
     builtin_group,
     canonical_group_json,
-    class_product,
     compose,
     conjugacy_classes,
     generate_group,
@@ -18,7 +17,11 @@ from wreathnorm.groups import (
     normal_closure,
     parse_group_spec,
     perm_from_cycles,
+    subgroup_closure,
 )
+
+A6_SPEC = '{"degree": 6, "generators": [[1, 2, 0, 3, 4, 5], [0, 2, 3, 4, 5, 1]]}'
+TABLE_GROUPS = ("S3", "A4", "S4", "A5", "Z2", "Z3", A6_SPEC, "psl27", "s3_reordered")
 
 
 def chase(p, q):
@@ -100,34 +103,77 @@ def test_conjugacy_witness_exists(a5):
     assert x is not None and a5.conj(g, x) == h
 
 
-def test_class_product_identity_class(s3):
+def test_class_product_identity_class(s3, pairwise_product, class_mask):
     table = conjugacy_classes(s3)
     ident_cls = table.class_of[s3.identity_index]
     for cid in range(len(table.classes)):
-        assert class_product(s3, ident_cls, cid) == table.classes[cid]
+        product = pairwise_product(s3, table.classes[ident_cls], table.classes[cid])
+        assert product == table.classes[cid]
+        assert table.mult[ident_cls][cid] == class_mask(s3, product) == 1 << cid
 
 
-def test_class_product_s3_transpositions(s3):
+def test_class_product_s3_transpositions(s3, pairwise_product, class_mask):
     table = conjugacy_classes(s3)
     transpositions = next(c for c in table.classes if len(c) == 3)
     cid = table.class_of[min(transpositions)]
-    product = class_product(s3, cid, cid)
+    product = pairwise_product(s3, transpositions, transpositions)
     three_cycles = next(c for c in table.classes if len(c) == 2)
     assert product == three_cycles | {s3.identity_index}
+    assert table.mult[cid][cid] == class_mask(s3, product)
 
 
-def test_class_product_a5_five_cycles_two_ways(a5):
+def test_class_product_a5_five_cycles_two_ways(a5, pairwise_product, class_mask):
     table = conjugacy_classes(a5)
     five_cycle_classes = [
         cid for cid, c in enumerate(table.classes) if len(c) == 12
     ]
     c1, c2 = five_cycle_classes
-    fast = class_product(a5, c1, c2)
+    fast = table.mult[c1][c2]
     # pairwise enumeration oracle
-    slow = {
-        a5.mul(a, b) for a in table.classes[c1] for b in table.classes[c2]
+    slow = pairwise_product(a5, table.classes[c1], table.classes[c2])
+    assert fast == class_mask(a5, slow)
+
+
+@pytest.mark.parametrize("spec", TABLE_GROUPS)
+def test_class_table_matches_pairwise_products(
+    spec, group_of, pairwise_product, class_mask
+):
+    group = group_of(spec)
+    table = group.conj_classes
+    assert table.reps == tuple(min(c) for c in table.classes)
+    assert list(table.reps) == sorted(table.reps)
+    for c1, left in enumerate(table.classes):
+        for c2, right in enumerate(table.classes):
+            product = pairwise_product(group, left, right)
+            assert table.mult[c1][c2] == class_mask(group, product)
+            assert table.times(c1, 1 << c2) == table.mult[c1][c2]
+        row_union = 0
+        for m in table.mult[c1]:
+            row_union |= m
+        assert table.times(c1, (1 << len(table.classes)) - 1) == row_union
+    n = len(group)
+    commutators = {
+        group.mul_many((group.inv(x), y, x, group.inv(y)))
+        for x in range(n)
+        for y in range(n)
     }
-    assert fast == frozenset(slow)
+    assert table.commutators == class_mask(group, commutators)
+    assert group.derived_subgroup == subgroup_closure(group, commutators)
+
+
+def test_identity_class_follows_the_identity(s3_reordered):
+    table = s3_reordered.conj_classes
+    assert s3_reordered.identity_index == 2
+    assert table.class_of[2] == 2 and table.classes[2] == {2}
+    assert table.reps == (0, 1, 2)
+    assert s3_reordered.derived_subgroup == {1, 2, 5}
+
+
+def test_least_reads_the_least_class(s4):
+    table = s4.conj_classes
+    for mask in range(1, 1 << len(table.classes)):
+        members = [a for a in range(len(s4)) if mask >> table.class_of[a] & 1]
+        assert table.least(mask) == min(members)
 
 
 def test_subgroup_and_normal_helpers(s3):

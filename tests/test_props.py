@@ -9,7 +9,6 @@ import pytest
 from wreathnorm import props
 from wreathnorm.groups import (
     builtin_group,
-    class_product,
     conjugacy_classes,
     parse_group_spec,
     perm_from_cycles,
@@ -77,6 +76,74 @@ def _check_S2_reference(group):
     return PropReport("S2", True, None)
 
 
+def _nontrivial_reps(group):
+    """The least member of each non-trivial class, in class-id order."""
+    table = group.conj_classes
+    ident = group.identity_index
+    return [min(c) for c in table.classes if ident not in c]
+
+
+def _check_S3_reference(group, pairwise_product):
+    """S3 over class representatives, with element-set products throughout."""
+    table = group.conj_classes
+    wanted = set(range(len(group))) - {group.identity_index}
+    reps = _nontrivial_reps(group)
+    klass = lambda u: table.classes[table.class_of[u]]
+    for u1 in reps:
+        for u2 in reps:
+            pair = pairwise_product(group, klass(u1), klass(u2))
+            for u3 in reps:
+                uncovered = wanted - pairwise_product(group, pair, klass(u3))
+                if uncovered:
+                    return PropReport("S3", False, (u1, u2, u3, min(uncovered)))
+    return PropReport("S3", True, None)
+
+
+def _check_S4_reference(group, pairwise_product):
+    """S4 over class representatives: the first pair whose xi-product misses a
+    non-trivial element, with the least such element."""
+    table = group.conj_classes
+    wanted = set(range(len(group))) - {group.identity_index}
+    reps = _nontrivial_reps(group)
+    klass = lambda u: table.classes[table.class_of[u]]
+    for u1 in reps:
+        for u2 in reps:
+            product = pairwise_product(
+                group, klass(group.inv(u2)), klass(group.inv(u1))
+            )
+            if wanted - product:
+                return PropReport("S4", True, (u1, u2, min(wanted - product)))
+    return PropReport("S4", False, None)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["S3", "A4", "S4", "A5", "Z2", "Z3", *INLINE_GROUPS, "psl27", "s3_reordered"],
+)
+def test_s3_s4_reports_match_element_scans(spec, group_of, pairwise_product):
+    group = group_of(spec)
+    assert check_S3(group) == _check_S3_reference(group, pairwise_product)
+    assert check_S4(group) == _check_S4_reference(group, pairwise_product)
+
+
+def test_reports_on_a_base_whose_identity_is_not_element_0(s3_reordered):
+    # S3 with the identity at index 2, in class 2
+    assert [(r.holds, r.witness) for r in check_all(s3_reordered).values()] == [
+        (False, (2, 0)),
+        (False, (2, 0, 2)),
+        (False, (0, 0, 0, 1)),
+        (True, (0, 0, 0)),
+    ]
+    assert s3_reordered.derived_subgroup == {1, 2, 5}
+
+
+def test_psl27_satisfies_s1_to_s4(psl27):
+    reports = check_all(psl27)
+    assert all(r.holds for r in reports.values())
+    assert reports["S4"].witness == (1, 1, 34)
+    assert not xi(psl27, 1, 1, 34)
+
+
 @pytest.mark.parametrize("spec", ["S3", "A4", "S4", "A5", "Z2", "Z3", *INLINE_GROUPS])
 def test_class_minimum_scans_match_element_scans(spec):
     group = parse_group_spec(spec)
@@ -84,7 +151,7 @@ def test_class_minimum_scans_match_element_scans(spec):
     assert check_S2(group) == _check_S2_reference(group)
 
 
-def test_s1_s2_reachable_sets_are_conjugation_equivariant(s4):
+def test_s1_s2_reachable_sets_are_conjugation_equivariant(s4, pairwise_product):
     # conjugating a1 (and a3 with it) by g conjugates the reachable set by g;
     # and the lemma behind check_S1/check_S2: R1(a1) = C a1^-1 and
     # a3^-1 R2(a1, a3) a3 = R1(a1), with C the union of K(c^-1) K(c)
@@ -96,8 +163,10 @@ def test_s1_s2_reachable_sets_are_conjugation_equivariant(s4):
     }
     assert commutators == set().union(
         *(
-            class_product(s4, table.class_of[s4.inv(min(members))], c)
-            for c, members in enumerate(table.classes)
+            pairwise_product(
+                s4, table.classes[table.class_of[s4.inv(min(members))]], members
+            )
+            for members in table.classes
         )
     )
     rng = random.Random(6)
@@ -143,13 +212,20 @@ def test_each_statement_computed_once_per_group(monkeypatch):
         assert calls == Counter({name: 1 for name in STATEMENTS})
 
 
-def test_xi_reads_the_group_class_table(a5):
-    table = conjugacy_classes(a5)
-    assert table is a5.conj_classes
-    u1, u2 = 1, 8
-    xi(a5, u1, u2, 0)
-    key = (table.class_of[a5.inv(u2)], table.class_of[a5.inv(u1)])
-    assert key in table.products
+@pytest.mark.parametrize("spec", ["A5", "S4", "Z3", "psl27", "s3_reordered"])
+def test_xi_reads_the_class_product_table(spec, group_of, pairwise_product):
+    group = group_of(spec)
+    table = conjugacy_classes(group)
+    assert table is group.conj_classes
+    for u1 in table.reps:
+        for u2 in table.reps:
+            product = pairwise_product(
+                group,
+                table.classes[table.class_of[group.inv(u2)]],
+                table.classes[table.class_of[group.inv(u1)]],
+            )
+            for u3 in range(len(group)):
+                assert xi(group, u1, u2, u3) is (u3 in product)
 
 
 def test_all_statements_hold_on_a5(a5):
@@ -198,9 +274,29 @@ def test_xi_conjugation_invariant_in_each_argument(a5):
         )
 
 
+def _check_S3_raw(group):
+    """S3 over raw element triples, every conjugate enumerated."""
+    ident = group.identity_index
+    n = len(group)
+    nontrivial = [i for i in range(n) if i != ident]
+    for u1 in nontrivial:
+        for u2 in nontrivial:
+            for u3 in nontrivial:
+                covered = set()
+                for x in range(n):
+                    a = group.conj(u1, x)
+                    for y in range(n):
+                        ab = group.mul(a, group.conj(u2, y))
+                        covered.update(group.mul(ab, group.conj(u3, z)) for z in range(n))
+                for u4 in nontrivial:
+                    if u4 not in covered:
+                        return PropReport("S3", False, (u1, u2, u3, u4))
+    return PropReport("S3", True, None)
+
+
 def test_s3_class_reduction_matches_raw(s3, a4):
-    assert check_S3(s3).holds == props._check_S3_raw(s3).holds
-    assert check_S3(a4).holds == props._check_S3_raw(a4).holds
+    assert check_S3(s3).holds == _check_S3_raw(s3).holds
+    assert check_S3(a4).holds == _check_S3_raw(a4).holds
 
 
 def test_s4_witness(a5):
@@ -237,13 +333,15 @@ def test_commutator_pairs_reverify(spec):
 
 
 @pytest.mark.parametrize("spec", ["S3", "A4", "S4", "A5", "Z3", A6_SPEC])
-def test_commutator_pair_keys_are_the_class_algebra_commutator_set(spec):
+def test_commutator_pair_keys_are_the_class_algebra_commutator_set(
+    spec, pairwise_product
+):
     group = parse_group_spec(spec)
     table = group.conj_classes
     commutators = set().union(
         *(
-            class_product(group, table.class_of[group.inv(rep)], c)
-            for c, rep in enumerate(table.representatives())
+            pairwise_product(group, table.classes[table.class_of[group.inv(rep)]], k)
+            for rep, k in zip(table.reps, table.classes)
         )
     )
     assert group._commutator_pairs.keys() == commutators
