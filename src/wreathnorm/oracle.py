@@ -18,12 +18,19 @@ it, and ``bounded_norm`` answers queries by lookup into it.  Distance labels
 are convention-free, so runs are deterministic.
 
 The large-table validators are exact reformulations sized for millions of
-states:
+states.  Most read the distances as a tensor D[v_0, ..., v_(w-1), k] (digit p
+on axis p, the shift residue last: the code layout), so a check is a gather
+along an axis or two of one shift slice and a transposed view:
 
+* symmetry: (v, k)^-1 = (u, -k) with u_p = v_(p-k)^-1, so the -k slice with
+  ``inv`` taken along every axis and the axes rotated by k is the k slice;
 * a table is invariant under all conjugations iff it is invariant under a
   generating set (induction on the conjugator's word length; invariance
   under y gives it under y^-1), and the truncation is generated by the base's
-  generators at index 0 plus the shift t;
+  generators at index 0 plus the shift t.  A single a at digit p conjugates
+  (v, k) by v_p -> a^-1 v_p and v_(p-k) -> v_(p-k) a (one axis when k = 0),
+  and t^-1 (v, k) t = (v_(p-1), k) rotates the axes by one;
+* the shift bound: the k slice is at least min(k, w - k);
 * the triangle inequality holds iff layer_i * layer_j stays inside
   ball_{i+j} for all i, j, which is vacuous once i + j reaches the diameter;
   on an invariant table every layer is conjugation-closed, so one
@@ -137,7 +144,6 @@ class TruncatedGroup:
         classes = self.base.conj_classes
         return {
             # per-element gather rows; None marks the identity (element 0)
-            "mul_rows": [None] + list(mul[1:]),
             "mulT_rows": [None] + list(mulT[1:]),
             "mul": mul.ravel(),  # a * b at a * |P| + b
             "inv": np.array(self.base._inv_table, dtype=np.int64),
@@ -206,15 +212,32 @@ class TruncatedGroup:
                 )
         return labels
 
+    def class_size(self, label: int) -> int:
+        """The number of states in the class whose least code is ``label``.
+
+        By the class form in ``class_labels``: with d = gcd(k, w) and the
+        cycle-product classes (c_0, ..., c_(d-1)) in the label's last d digits,
+        each distinct rotation of that tuple is met by |P|^(w-d) prod |K(c_r)|
+        base vectors (a cycle's w/d - 1 leading digits are free, its last one
+        closes the product into its class).
+        """
+        w = self.code.width
+        digits, k = self.code.decode_parts(label)
+        d = gcd(k, w)
+        classes = self.base.conj_classes
+        ids = tuple(classes.class_of[v] for v in digits[w - d :])
+        size = len({ids[s:] + ids[:s] for s in range(d)}) * len(self.base) ** (w - d)
+        for c in ids:
+            size *= len(classes.classes[c])
+        return size
+
 
 # -- the batch product kernel -----------------------------------------------------
 #
 # Every batch-by-constant operation on states x = (digits, k) of one shift class
 # re-encodes digit j as lut_j[digits[(j + offset) % w]]:
 #   x * s      lut_j = mulT row of s[(j + k) % w],  offset 0
-#   a * x      lut_j = mul row of a[j],             offset kappa
 #   x^-1       lut_j = inv,                         offset -k
-#   y^-1 x y   lut_j = the two lookups composed,    offset kappa of y^-1
 
 BLOCK_ROWS = 1 << 14
 
@@ -279,32 +302,6 @@ def _times(group: TruncatedGroup, blocks, code: int):
     cvec, cshift = group.code.decode_parts(code)
     for pos, k, digits in blocks:
         yield pos, next(_right_products(group, k, digits, [cvec], [cshift]))
-
-
-def _conjugates(group: TruncatedGroup, codes: np.ndarray, by_codes: Sequence[int]):
-    """Yield (positions, i, codes of y^-1 x y) per shift block of ``codes`` and
-    per y = by_codes[i]; the two lookups are composed, so each digit is
-    gathered once."""
-    w = group.code.width
-    mul_rows = group.np_tables["mul_rows"]
-    mulT_rows = group.np_tables["mulT_rows"]
-    parts = [
-        (
-            group.code.decode_parts(group.encode(group.decode(y).inverse())),
-            group.code.decode_parts(y)[0],
-        )
-        for y in by_codes
-    ]
-    for pos, k, digits in _shift_blocks(group, codes):
-        for i, ((avec, kappa), yvec) in enumerate(parts):
-            luts = []
-            for j in range(w):
-                first, then = mul_rows[avec[j]], mulT_rows[yvec[(j + kappa + k) % w]]
-                if first is None or then is None:
-                    luts.append(then if first is None else first)
-                else:
-                    luts.append(then[first])
-            yield pos, i, _encode(group, digits, luts, kappa, k)
 
 
 def _class_label_block(
@@ -471,7 +468,8 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
 
     Level-synchronized over conjugacy classes, one class step (see the module
     docstring) per level from the representatives of the last layer, each
-    recorded as a ``BfsLevel``.  Each state's distance is its class's.
+    recorded as a ``BfsLevel``, until the reached classes cover every state.
+    Each state's distance is its class's.
     Raises RuntimeError if the generators are not a union of classes, if a
     level would reach the UNREACHED sentinel, or if states stay unreached.
     """
@@ -490,14 +488,18 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
     class_dist[0] = 0
     frontier = [0]
     level = 0
+    layer_sizes = [1]  # the identity is a class of its own
+    covered = 1
     steps = []  # (frontier classes, new classes, seconds) per level
-    while frontier:
+    # once the reached classes cover every state, a further step finds nothing
+    while covered < len(group):
         step_started = time.perf_counter()
         reached = np.zeros(len(group), dtype=bool)
         for rep in frontier:
             for _, prods in _times(group, gen_blocks, rep):
                 reached[labels[prods]] = True
-        new = np.flatnonzero(reached & (class_dist == UNREACHED))
+        reached &= class_dist == UNREACHED  # the classes first met at this level
+        new = np.flatnonzero(reached)
         if new.size == 0:
             break
         level += 1
@@ -506,17 +508,17 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
                 f"BFS level {level} would collide with the unreached sentinel"
             )
         class_dist[new] = level
-        steps.append((len(frontier), new.size, time.perf_counter() - step_started))
-        frontier = new.tolist()
+        expanded, frontier = len(frontier), new.tolist()
+        layer_sizes.append(sum(map(group.class_size, frontier)))
+        covered += layer_sizes[-1]
+        steps.append((expanded, new.size, time.perf_counter() - step_started))
 
-    distances = class_dist[labels]
-    missing = int(np.count_nonzero(distances == UNREACHED))
-    if missing:
+    if covered < len(group):
         raise RuntimeError(
-            f"generators failed to reach the whole truncation; {missing} states missing"
+            "generators failed to reach the whole truncation; "
+            f"{len(group) - covered} states missing"
         )
-    # counted per level: np.bincount would widen the distances to int64
-    layer_sizes = [int(np.count_nonzero(distances == lvl)) for lvl in range(level + 1)]
+    distances = class_dist[labels]
     levels = [
         BfsLevel(lvl, f, f * gen_codes.size, c, layer_sizes[lvl], round(sec, 6))
         for lvl, (f, c, sec) in enumerate(steps, 1)
@@ -547,31 +549,60 @@ def bfs_norms(
 
 
 def set_power_norms(base: FiniteGroup, window: int) -> dict[LampElem, int]:
-    """Distances by naive ball growth B_{m+1} = B_m . Sbar on explicit elements.
+    """Distances by naive ball growth B_{m+1} = B_m . Sbar over flat tuples.
 
     Pure-Python second oracle, independent of the dense coding and of numpy.
+    A state is the tuple (v_0, ..., v_(w-1), k): the values at indices -n..n
+    and the shift residue.  A generator is its shift m and its non-identity
+    (position, value) pairs.  By the product law (h, k)(g, l) =
+    (h . shift^k(g), k + l) with shift^k(g)_q = g_(q+k), multiplying by the
+    generator sets y_q = y_q . u at q = (p - k) mod w for each pair (p, u)
+    and the residue to (k + m) mod w.  The elements are built at the end.
     """
-    order = len(base) ** (2 * window + 1) * (2 * window + 1)
+    w = 2 * window + 1
+    order = len(base) ** w * w
     if order > SET_POWER_STATE_CAP:
         raise CapExceededError(f"{order} states is over the set-power cap")
-    gens = enumerate_Sbar(base, window)
-    ident = LampElem.identity(base, window)
-    dist = {ident: 0}
-    frontier = [ident]
+    table = base._mul_table
+    gens = [
+        (s.shift % w, [(i + window, u) for i, u in s.support])
+        for s in enumerate_Sbar(base, window)
+    ]
+    # per shift residue k of the left factor: (k + m) mod w and the (q, u) moves
+    steps = [
+        [((k + m) % w, [((p - k) % w, u) for p, u in pairs]) for m, pairs in gens]
+        for k in range(w)
+    ]
+    ident = base.identity_index
+    start = (ident,) * w + (0,)
+    dist = {start: 0}
+    frontier = [start]
     level = 0
     while frontier:
         level += 1
         nxt = []
         for x in frontier:
-            for s in gens:
-                y = x.mul(s)
+            for shift, moves in steps[x[w]]:
+                y = list(x)
+                for q, u in moves:
+                    y[q] = table[y[q]][u]
+                y[w] = shift
+                y = tuple(y)
                 if y not in dist:
                     dist[y] = level
                     nxt.append(y)
         frontier = nxt
     if len(dist) != order:
         raise RuntimeError("set-power growth failed to reach the whole group")
-    return dist
+    return {
+        LampElem.make(
+            base,
+            tuple((q - window, v) for q, v in enumerate(y[:w]) if v != ident),
+            y[w],
+            window,
+        ): d
+        for y, d in dist.items()
+    }
 
 
 # -- bounded-norm queries over one BFS -----------------------------------------
@@ -739,10 +770,33 @@ def validate_definiteness(result: BfsResult) -> bool:
     return bool(d[0] == 0 and (d == 0).sum() == 1 and (d != UNREACHED).all())
 
 
+def _distance_tensor(result: BfsResult) -> np.ndarray:
+    """The distances as D[v_0, ..., v_(w-1), k], a view: axis p is digit p
+    (index p - n) and the last axis the shift residue, as codes are laid out."""
+    b, w = len(result.group.base), result.group.code.width
+    return result.distances.reshape((b,) * w + (w,))
+
+
+def _rotated(table: np.ndarray, k: int) -> np.ndarray:
+    """The view v -> table[v_(-k), v_(1-k), ..., v_(w-1-k)], indices mod w."""
+    w = table.ndim
+    return table.transpose([(p + k) % w for p in range(w)])
+
+
 def validate_symmetry(result: BfsResult) -> bool:
-    codes = np.arange(len(result.group), dtype=np.int64)
-    d = result.distances
-    return all((d[inv] == d[pos]).all() for pos, inv in _inverses(result.group, codes))
+    """(v, k)^-1 = (u, -k) with u_p = v_(p-k)^-1: the shift -k slice, with
+    ``inv`` taken along every digit axis and rotated by k, is the k slice."""
+    group = result.group
+    inv = group.np_tables["inv"]
+    d = _distance_tensor(result)
+    w = group.code.width
+    for k in range(w):
+        inverted = d[..., -k % w]
+        for axis in range(w):
+            inverted = inverted.take(inv, axis=axis)
+        if not np.array_equal(_rotated(inverted, k), d[..., k]):
+            return False
+    return True
 
 
 def validate_triangle_layers(result: BfsResult) -> bool:
@@ -785,25 +839,35 @@ def validate_invariance_generators(result: BfsResult) -> bool:
 
     They generate the truncation, and invariance under y also gives it under
     y^-1, so by induction on word length this is invariance under every
-    conjugation.
+    conjugation.  Each conjugation is a gather on one shift slice of the
+    distance tensor (see the module docstring).
     """
     group = result.group
-    d = result.distances
-    ys = [group.encode(y) for y in standard_generators(group)]
-    codes = np.arange(len(group), dtype=np.int64)
-    return all(
-        (d[conj] == d[pos]).all() for pos, _, conj in _conjugates(group, codes, ys)
-    )
+    b, n, w = len(group.base), group.window, group.code.width
+    mul = group.np_tables["mul"].reshape(b, b)
+    inv = group.np_tables["inv"]
+    d = _distance_tensor(result)
+    gens = standard_generators(group)
+    for k in range(w):
+        dk = d[..., k]
+        for y in gens:
+            if y.shift:  # t
+                conj = _rotated(dk, 1)
+            else:
+                [(i, a)] = y.support
+                p = i + n
+                conj = dk.take(mul[inv[a]], axis=p).take(mul[:, a], axis=(p - k) % w)
+            if not np.array_equal(conj, dk):
+                return False
+    return True
 
 
 def validate_shift_bound(result: BfsResult) -> bool:
-    """distance >= |canonical shift| (the shift map is a homomorphism)."""
-    group = result.group
-    w = group.code.width
-    codes = np.arange(len(group), dtype=np.int64)
-    shifts = codes % w
-    canonical = np.where(shifts <= group.window, shifts, w - shifts)
-    return bool((result.distances >= canonical).all())
+    """distance >= |canonical shift| = min(k, w - k) at shift residue k (the
+    shift map is a homomorphism)."""
+    w = result.group.code.width
+    k = np.arange(w, dtype=np.uint8)
+    return bool((result.distances.reshape(-1, w) >= np.minimum(k, w - k)).all())
 
 
 # -- binary serialization ----------------------------------------------------------

@@ -11,9 +11,11 @@ S1: with y' = a1^-1 y, x^-1 a1^-1 y x y^-1 = (x^-1 y' x y'^-1) a1^-1, so a1
 reaches C a1^-1, the whole group iff C is.  S2: conjugating its equation by
 a3 gives S1's, a3^-1 R2(a1, a3) a3 = R1(a1).  As encoded, S1 and S2 are thus
 one statement, C = P (O. Ore proved it for A_n, Proc. AMS 2, 1951), with
-witnesses (1, min(P - C)) and (1, min(P - C), 1): ``generate_group`` lists
-the identity first, so these are the first failures of the scans over a1
-(and a3) in element order.  S3: a product of two classes is a union of
+witnesses (1, min(P - C)) and (1, min(P - C), 1).  These are the first
+failures of the scans over a1 (and a3) in element order only when the identity
+is element 0, as ``generate_group`` lists it; elsewhere they are failures, not
+the first (S3 with its identity at index 2 gives (2, 0) and (2, 0, 2), the
+scans (0, 1) and (0, 1, 0)).  S3: a product of two classes is a union of
 classes, so the triple product is the product of the pair product's classes
 with the third class.  Class minima ascend with the class id, so the least
 element outside a union of classes is the least member of its least missing
@@ -80,7 +82,10 @@ def _first_non_commutator(group: FiniteGroup) -> int | None:
 
 
 def check_S1(group: FiniteGroup) -> PropReport:
-    """S1: every a2 equals x^-1 a1^-1 y x y^-1 for every a1, i.e. C = P."""
+    """S1: every a2 equals x^-1 a1^-1 y x y^-1 for every a1, i.e. C = P.
+
+    Witness (identity, min(P - C)); see the module docstring for its order.
+    """
     a2 = _first_non_commutator(group)
     if a2 is None:
         return PropReport("S1", True, None)
@@ -88,7 +93,10 @@ def check_S1(group: FiniteGroup) -> PropReport:
 
 
 def check_S2(group: FiniteGroup) -> PropReport:
-    """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3, i.e. C = P."""
+    """S2: every a2 equals a3 u a1^-1 a3^-1 v u^-1 v^-1 for all a1, a3, i.e. C = P.
+
+    Witness (identity, min(P - C), identity); see the module docstring.
+    """
     a2 = _first_non_commutator(group)
     if a2 is None:
         return PropReport("S2", True, None)

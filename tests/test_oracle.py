@@ -96,6 +96,34 @@ def test_code_arithmetic_matches_elements(s3):
         assert int(inv[0]) == group.encode(group.decode(c1).inverse())
 
 
+def _conjugates(group, codes, by_codes):
+    """Yield (positions, i, codes of y^-1 x y) per shift block of ``codes`` and
+    per y = by_codes[i]; the two lookups are composed, so each digit is
+    gathered once.  The block kernel that preceded the tensor validators,
+    kept as a reference."""
+    w, b = group.code.width, len(group.base)
+    mul = group.np_tables["mul"].reshape(b, b)
+    mul_rows = [None] + list(mul[1:])
+    mulT_rows = group.np_tables["mulT_rows"]
+    parts = [
+        (
+            group.code.decode_parts(group.encode(group.decode(y).inverse())),
+            group.code.decode_parts(y)[0],
+        )
+        for y in by_codes
+    ]
+    for pos, k, digits in oracle._shift_blocks(group, codes):
+        for i, ((avec, kappa), yvec) in enumerate(parts):
+            luts = []
+            for j in range(w):
+                first, then = mul_rows[avec[j]], mulT_rows[yvec[(j + kappa + k) % w]]
+                if first is None or then is None:
+                    luts.append(then if first is None else first)
+                else:
+                    luts.append(then[first])
+            yield pos, i, oracle._encode(group, digits, luts, kappa, k)
+
+
 def test_batch_helpers(s3):
     group = TruncatedGroup(s3, 1)
     codes = np.arange(len(group), dtype=np.int64)
@@ -106,7 +134,7 @@ def test_batch_helpers(s3):
         assert int(inv[c]) == group.encode(group.decode(int(c)).inverse())
     by = (123, 124, 125)  # one conjugator per shift residue
     conj = np.empty((len(by), codes.size), dtype=np.int64)
-    for pos, i, block in oracle._conjugates(group, codes, by):
+    for pos, i, block in _conjugates(group, codes, by):
         conj[i, pos] = block
     for i, y in enumerate(by):
         for c in codes[::17]:
@@ -119,6 +147,38 @@ def test_bfs_matches_set_power_oracle(s3, s3_bfs):
     assert len(powers) == len(s3_bfs.group) == 648
     for elem, dist in powers.items():
         assert s3_bfs.norm_of(elem) == dist
+
+
+def _reference_set_power_norms(base, window):
+    """The set-power growth on ``LampElem.mul`` that preceded the flat tuples."""
+    gens = enumerate_Sbar(base, window)
+    ident = LampElem.identity(base, window)
+    dist = {ident: 0}
+    frontier = [ident]
+    level = 0
+    while frontier:
+        level += 1
+        nxt = []
+        for x in frontier:
+            for s in gens:
+                y = x.mul(s)
+                if y not in dist:
+                    dist[y] = level
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("name,window", [("s3", 1), ("z3", 2)])
+def test_set_power_norms_equal_the_lamp_growth(request, name, window):
+    # also cross-checks LampElem.mul against the BFS, through the set powers
+    base = request.getfixturevalue(name)
+    got = set_power_norms(base, window)
+    expected = _reference_set_power_norms(base, window)
+    assert list(got.items()) == list(expected.items())
+    assert all(type(elem) is LampElem for elem in got)
+    res = bfs_norms(base, window)
+    assert all(res.norm_of(elem) == dist for elem, dist in expected.items())
 
 
 def test_generator_norms_are_one(s3, s3_bfs):
@@ -356,7 +416,7 @@ def _propagation_labels(group):
     for k in range(w):
         for start in range(0, size, oracle.BLOCK_ROWS):
             index = np.arange(start, min(start + oracle.BLOCK_ROWS, size))
-            for pos, i, conj in oracle._conjugates(group, index * w + k, ys):
+            for pos, i, conj in _conjugates(group, index * w + k, ys):
                 perms[i][start + pos] = conj // w
         lab = np.arange(size, dtype=np.int32)
         changed = True
@@ -381,6 +441,16 @@ def _propagation_labels(group):
 def test_class_labels_equal_the_propagation(request, name, window):
     group = TruncatedGroup(request.getfixturevalue(name), window)
     assert group.class_labels.tobytes() == _propagation_labels(group).tobytes()
+
+
+@pytest.mark.parametrize(
+    "name,window", [("s3", 1), ("s3", 2), ("a4", 1), ("z3", 2), ("s3", 3)]
+)
+def test_class_sizes_count_the_labels(request, name, window):
+    group = TruncatedGroup(request.getfixturevalue(name), window)
+    counts = np.bincount(group.class_labels)
+    reps = np.flatnonzero(counts)
+    assert [group.class_size(c) for c in reps.tolist()] == counts[reps].tolist()
 
 
 def _sampled_labels(group, codes):
@@ -415,11 +485,9 @@ def test_class_labels_on_a_composite_nonabelian_width(s3):
     assert "class_labels" not in group.__dict__
 
 
-def test_class_labels_search_no_conjugates(s3, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("_conjugates called")
-
-    monkeypatch.setattr(oracle, "_conjugates", refuse)
+def test_class_labels_search_no_conjugates(s3):
+    # no conjugation kernel is left in the oracle for the labels to call
+    assert not [name for name in vars(oracle) if "conjugates" in name]
     labels = TruncatedGroup(s3, 2).class_labels
     digest = hashlib.sha256(labels.tobytes()).hexdigest()
     assert digest == CLASS_LABELS_SHA256["s3", 2]
@@ -448,6 +516,22 @@ def test_bfs_levels_account_for_every_state(s3_bfs, a5_bfs):
             for lv in res.levels
         )
         assert sum(lv.new_classes for lv in res.levels) + 1 == _class_count(res)
+
+
+def test_bfs_stops_once_every_state_is_reached(s3, monkeypatch):
+    # no class step after the last layer: each step expands one frontier class
+    # per call to _times, and the steps are exactly the recorded levels
+    calls = []
+    times = oracle._times
+
+    def counted(group, blocks, code):
+        calls.append(code)
+        return times(group, blocks, code)
+
+    monkeypatch.setattr(oracle, "_times", counted)
+    res = bfs_norms(s3, 2)
+    assert len(calls) == sum(lv.frontier_classes for lv in res.levels)
+    assert res.layer_sizes == [1, 2617, 24733, 11529]
 
 
 def test_bfs_guards_the_unreached_sentinel(s3, monkeypatch):
@@ -480,12 +564,91 @@ def test_triangle_rejects_a_class_moved_up_a_layer(s3_bfs):
     assert not validate_triangle_layers(moved)
 
 
+def _reference_symmetry(result):
+    """``validate_symmetry`` through the block kernel ``_inverses``."""
+    codes = np.arange(len(result.group), dtype=np.int64)
+    d = result.distances
+    blocks = oracle._inverses(result.group, codes)
+    return all((d[inv] == d[pos]).all() for pos, inv in blocks)
+
+
+def _reference_invariance(result):
+    """``validate_invariance_generators`` through the block kernel ``_conjugates``."""
+    group = result.group
+    d = result.distances
+    ys = [group.encode(y) for y in standard_generators(group)]
+    codes = np.arange(len(group), dtype=np.int64)
+    blocks = _conjugates(group, codes, ys)
+    return all((d[conj] == d[pos]).all() for pos, _, conj in blocks)
+
+
+def _reference_shift_bound(result):
+    """``validate_shift_bound`` on a per-state shift array."""
+    group = result.group
+    w = group.code.width
+    shifts = np.arange(len(group), dtype=np.int64) % w
+    canonical = np.where(shifts <= group.window, shifts, w - shifts)
+    return bool((result.distances >= canonical).all())
+
+
+TENSOR_VALIDATORS = (
+    (validate_symmetry, _reference_symmetry),
+    (validate_invariance_generators, _reference_invariance),
+    (validate_shift_bound, _reference_shift_bound),
+)
+
+
+@pytest.fixture(scope="module")
+def a4w2_bfs(a4):
+    return bfs_norms(a4, 2)
+
+
+@pytest.mark.parametrize(
+    "name,window",
+    [("s3", 1), ("a4", 1), ("s4", 1), ("s3", 2), ("a5", 1), ("a4", 2)],
+)
+def test_tensor_validators_equal_the_block_kernels(request, name, window):
+    fixture = {("s3", 1): "s3_bfs", ("a5", 1): "a5_bfs", ("a4", 2): "a4w2_bfs"}
+    if (name, window) in fixture:
+        res = request.getfixturevalue(fixture[name, window])
+    else:
+        res = bfs_norms(request.getfixturevalue(name), window)
+    for validator, reference in TENSOR_VALIDATORS:
+        assert validator(res) is reference(res) is True
+
+
+def _perturbed_tables(res, rng):
+    """50 tables with one state moved to a random distance, then 20 with a
+    state and its inverse moved together: symmetric tables off shift 0."""
+    group = res.group
+    for i in range(70):
+        d = res.distances.copy()
+        x = 0 if rng.random() < 0.2 else rng.randrange(d.size)
+        d[x] = rng.randrange(4)
+        if i >= 50:
+            d[group.encode(group.decode(x).inverse())] = d[x]
+        yield dataclasses.replace(res, distances=d)
+
+
+@pytest.mark.parametrize("name,window", [("s3", 1), ("s3", 2), ("a4", 1)])
+def test_tensor_validators_on_perturbed_tables(request, name, window):
+    # the identity, the involutions and unchanged values keep some tables valid
+    res = bfs_norms(request.getfixturevalue(name), window)
+    verdicts = {validator: set() for validator, _ in TENSOR_VALIDATORS}
+    for perturbed in _perturbed_tables(res, random.Random(5)):
+        for validator, reference in TENSOR_VALIDATORS:
+            verdict = validator(perturbed)
+            assert verdict is reference(perturbed)
+            verdicts[validator].add(verdict)
+    assert all(seen == {True, False} for seen in verdicts.values())
+
+
 # sha256 of the A4 w2 distance body from the dense reference BFS
 A4W2_SHA256 = "aff20f0089606478d8a95283ed66eaca4f8d0fc1e64d7ecb7b1ee73a10a34329"
 
 
-def test_a4_window_two_ground_truth(a4):
-    res = bfs_norms(a4, 2)
+def test_a4_window_two_ground_truth(a4w2_bfs):
+    res = a4w2_bfs
     assert len(res.group) == 1_244_160
     assert res.generator_count == 41_527
     # pinned from one run of _dense_bfs_reference (minutes; kept out of the suite)
