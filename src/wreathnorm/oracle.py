@@ -17,6 +17,12 @@ through its label.  One ``BfsResult`` holds that search: ``bfs_norms`` returns
 it, and ``bounded_norm`` answers queries by lookup into it.  Distance labels
 are convention-free, so runs are deterministic.
 
+Both searches (the class BFS and ``set_power_norms``) stop the moment every
+state has a distance, even partway through a level.  This is exact: a state
+first met while expanding layer L - 1 has distance L, that layer is only read
+while level L forms, and once every state is met no later product can lower
+or set a distance.
+
 The large-table validators are exact reformulations sized for millions of
 states.  Most read the distances as a tensor D[v_0, ..., v_(w-1), k] (digit p
 on axis p, the shift residue last: the code layout), so a check is a gather
@@ -43,7 +49,6 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import product as iter_product
 from math import gcd
 from pathlib import Path
 from typing import Sequence
@@ -126,7 +131,8 @@ class TruncatedGroup:
         if elem.base is not self.base or elem.window != self.window:
             raise ValueError("element does not live in this truncation")
         n = self.window
-        digits = [elem.value_at(i) for i in range(-n, n + 1)]
+        values = dict(elem.support)
+        digits = [values.get(i, 0) for i in range(-n, n + 1)]  # identity: 0
         return self.code.encode_parts(digits, elem.shift)
 
     def decode(self, code: int) -> LampElem:
@@ -363,25 +369,44 @@ def enumerate_Sbar(
     Singles at every index, then the shift-conjugates: vectors whose cyclic
     telescoping product vanishes, paired with shift +1 (and their inverses
     with shift -1).  The count is (2n+1)(|P|-1) + 2 |P|^(2n).
+
+    The (w-1)-digit choices at indices -n..n-1 are walked in lexicographic
+    order, each prefix carrying its running product and the support pairs of
+    both signs, so no element is built twice.  A choice v closed by the
+    inverse of its product at index n is the T+ element (v, 1); its inverse
+    (v, 1)^-1 has value v_i^-1 at index i + 1 mod w, so the closing value
+    comes back as the product itself at index -n.  Both supports are
+    canonical tuples as built.
     """
     if window < 1:
         raise ValueError("window n must be >= 1 (the shift must move indices)")
     b = len(base)
     w = 2 * window + 1
     _require_gen_cap(b, w, cap)
+    table, inv, ident = base._mul_table, base._inv_table, base.identity_index
     out: list[LampElem] = []
     for i in range(-window, window + 1):
         for v in range(b):
-            if v != base.identity_index:
+            if v != ident:
                 out.append(LampElem.single(base, i, v, window))
-    plus: list[LampElem] = []
-    positions = list(range(-window, window + 1))
-    for choice in iter_product(range(b), repeat=w - 1):
-        closing = base.inv(base.mul_many(choice))
-        support = dict(zip(positions, list(choice) + [closing]))
-        plus.append(LampElem.make(base, support, 1, window))
-    out.extend(plus)
-    out.extend(e.inverse() for e in plus)
+    # per prefix: (product, T+ pairs, T- pairs) of its digits so far
+    prefixes = [(ident, (), ())]
+    for i in range(-window, window):
+        prefixes = [
+            (table[prod][v], plus, minus)
+            if v == ident
+            else (table[prod][v], plus + ((i, v),), minus + ((i + 1, inv[v]),))
+            for prod, plus, minus in prefixes
+            for v in range(b)
+        ]
+    for prod, plus, _ in prefixes:
+        if prod != ident:
+            plus += ((window, inv[prod]),)
+        out.append(LampElem(base, window, 1, plus))
+    for prod, _, minus in prefixes:
+        if prod != ident:
+            minus = ((-window, prod),) + minus
+        out.append(LampElem(base, window, -1, minus))
     return out
 
 
@@ -414,8 +439,10 @@ def _sbar_codes(group: TruncatedGroup, cap: int = DEFAULT_GEN_CAP) -> np.ndarray
 
 @dataclass(frozen=True)
 class BfsLevel:
-    """One class step of the BFS: the classes it expanded from, the products
-    it formed (each frontier representative times every generator), the
+    """One class step of the BFS: the frontier classes it expanded (all of
+    them, except on the last level, which stops once every state is reached),
+    the products it formed (each expanded representative times the
+    generators, the last one possibly only some shift blocks of them), the
     classes and states it reached first, and its wall time."""
 
     level: int
@@ -468,8 +495,11 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
 
     Level-synchronized over conjugacy classes, one class step (see the module
     docstring) per level from the representatives of the last layer, each
-    recorded as a ``BfsLevel``, until the reached classes cover every state.
-    Each state's distance is its class's.
+    recorded as a ``BfsLevel``.  Each product block marks the classes it is
+    first to meet with the current level and adds their sizes to the covered
+    count; the search stops as soon as that count is every state, even
+    mid-level (exact: the module docstring's stop rule).  Each state's
+    distance is its class's.
     Raises RuntimeError if the generators are not a union of classes, if a
     level would reach the UNREACHED sentinel, or if states stay unreached.
     """
@@ -477,12 +507,11 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
     gen_codes = _sbar_codes(group, gen_cap)
     # labels first: no other per-state array is alive while they are built
     labels = group.class_labels
-    # a union of classes: a state is a generator iff its class label is one
-    in_sbar = np.zeros(labels.size, dtype=bool)
-    in_sbar[gen_codes] = True
-    if not np.array_equal(in_sbar[labels], in_sbar):
+    # S-bar lies inside the union of the classes its members meet, and its
+    # codes are distinct, so it is that union iff their sizes add up to its count
+    gen_classes = _distinct(labels[gen_codes]).tolist()
+    if sum(map(group.class_size, gen_classes)) != gen_codes.size:
         raise RuntimeError("the generating set is not a union of conjugacy classes")
-    del in_sbar
     gen_blocks = list(_shift_blocks(group, gen_codes))
     class_dist = np.full(len(group), UNREACHED, dtype=np.uint8)  # at representatives
     class_dist[0] = 0
@@ -490,28 +519,38 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
     level = 0
     layer_sizes = [1]  # the identity is a class of its own
     covered = 1
-    steps = []  # (frontier classes, new classes, seconds) per level
-    # once the reached classes cover every state, a further step finds nothing
+    steps = []  # (frontier classes, products, new classes, seconds) per level
     while covered < len(group):
         step_started = time.perf_counter()
-        reached = np.zeros(len(group), dtype=bool)
-        for rep in frontier:
-            for _, prods in _times(group, gen_blocks, rep):
-                reached[labels[prods]] = True
-        reached &= class_dist == UNREACHED  # the classes first met at this level
-        new = np.flatnonzero(reached)
-        if new.size == 0:
-            break
         level += 1
         if level >= UNREACHED:
             raise RuntimeError(
                 f"BFS level {level} would collide with the unreached sentinel"
             )
-        class_dist[new] = level
-        expanded, frontier = len(frontier), new.tolist()
-        layer_sizes.append(sum(map(group.class_size, frontier)))
-        covered += layer_sizes[-1]
-        steps.append((expanded, new.size, time.perf_counter() - step_started))
+        new = []  # per product block, the classes it is first to meet
+        products = 0
+        layer_start = covered
+        blocks = (
+            (expanded, prods)
+            for expanded, rep in enumerate(frontier, 1)
+            for _, prods in _times(group, gen_blocks, rep)
+        )
+        for expanded, prods in blocks:
+            products += prods.size
+            met = labels[prods]
+            met = _distinct(met[class_dist[met] == UNREACHED])
+            class_dist[met] = level
+            new.append(met)
+            covered += sum(map(group.class_size, met.tolist()))
+            if covered == len(group):
+                break  # every state has its distance: nothing left to change
+        if covered == layer_start:
+            break
+        frontier = np.sort(np.concatenate(new)).tolist()
+        layer_sizes.append(covered - layer_start)
+        steps.append(
+            (expanded, products, len(frontier), time.perf_counter() - step_started)
+        )
 
     if covered < len(group):
         raise RuntimeError(
@@ -520,8 +559,8 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
         )
     distances = class_dist[labels]
     levels = [
-        BfsLevel(lvl, f, f * gen_codes.size, c, layer_sizes[lvl], round(sec, 6))
-        for lvl, (f, c, sec) in enumerate(steps, 1)
+        BfsLevel(lvl, f, p, c, layer_sizes[lvl], round(sec, 6))
+        for lvl, (f, p, c, sec) in enumerate(steps, 1)
     ]
     return BfsResult(
         group,
@@ -557,7 +596,9 @@ def set_power_norms(base: FiniteGroup, window: int) -> dict[LampElem, int]:
     (position, value) pairs.  By the product law (h, k)(g, l) =
     (h . shift^k(g), k + l) with shift^k(g)_q = g_(q+k), multiplying by the
     generator sets y_q = y_q . u at q = (p - k) mod w for each pair (p, u)
-    and the residue to (k + m) mod w.  The elements are built at the end.
+    and the residue to (k + m) mod w.  The growth stops once every state has
+    a distance, even mid-level (the module docstring's stop rule).  The
+    elements are built at the end.
     """
     w = 2 * window + 1
     order = len(base) ** w * w
@@ -578,7 +619,7 @@ def set_power_norms(base: FiniteGroup, window: int) -> dict[LampElem, int]:
     dist = {start: 0}
     frontier = [start]
     level = 0
-    while frontier:
+    while frontier and len(dist) < order:
         level += 1
         nxt = []
         for x in frontier:
@@ -591,6 +632,8 @@ def set_power_norms(base: FiniteGroup, window: int) -> dict[LampElem, int]:
                 if y not in dist:
                     dist[y] = level
                     nxt.append(y)
+            if len(dist) == order:
+                break  # every state has its distance: nothing left to change
         frontier = nxt
     if len(dist) != order:
         raise RuntimeError("set-power growth failed to reach the whole group")

@@ -49,6 +49,36 @@ def test_enumerate_counts(a5, s3):
     assert all(in_Sbar(g) for g in gens)
 
 
+def _reference_enumerate_Sbar(base, window):
+    """The S-bar listing through ``LampElem.make`` and ``.inverse()`` that
+    preceded the direct supports."""
+    out = [
+        LampElem.single(base, i, v, window)
+        for i in range(-window, window + 1)
+        for v in range(len(base))
+        if v != base.identity_index
+    ]
+    positions = list(range(-window, window + 1))
+    plus = []
+    for choice in iter_product(range(len(base)), repeat=2 * window):
+        closing = base.inv(base.mul_many(choice))
+        support = dict(zip(positions, list(choice) + [closing]))
+        plus.append(LampElem.make(base, support, 1, window))
+    return out + plus + [e.inverse() for e in plus]
+
+
+@pytest.mark.parametrize(
+    "name,window",
+    [("s3", 1), ("s3", 2), ("z3", 2), ("a4", 1), ("a5", 1), ("s3_reordered", 1)],
+)
+def test_enumerate_Sbar_equals_the_element_reference(request, name, window):
+    # same elements in the same order, with canonical supports built directly
+    base = request.getfixturevalue(name)
+    got = enumerate_Sbar(base, window)
+    assert got == _reference_enumerate_Sbar(base, window)
+    assert all(type(s.support) is tuple for s in got)
+
+
 def test_window_zero_rejected(s3):
     with pytest.raises(ValueError):
         enumerate_Sbar(s3, 0)
@@ -77,6 +107,13 @@ def test_codec_round_trip(s3):
         seen.add(code)
     assert len(seen) > 300
     assert group.decode(0).is_identity()
+    for code in range(len(group)):
+        elem = group.decode(code)
+        digits = [elem.value_at(i) for i in range(-1, 2)]
+        assert group.encode(elem) == group.code.encode_parts(digits, elem.shift)
+    for foreign in (LampElem.single(s3, 0, 1, 2), LampElem.single(s3, 0, 1)):
+        with pytest.raises(ValueError, match="does not live"):
+            group.encode(foreign)
 
 
 def _code_product(group, c1, c2):
@@ -510,11 +547,18 @@ def test_bfs_levels_account_for_every_state(s3_bfs, a5_bfs):
         assert [lv.level for lv in res.levels] == list(range(1, res.diameter + 1))
         assert [lv.new_states for lv in res.levels] == res.layer_sizes[1:]
         assert res.levels[0].frontier_classes == 1
-        assert all(
-            lv.products == lv.frontier_classes * res.generator_count
-            and lv.seconds >= 0
-            for lv in res.levels
-        )
+        # each level expands the classes first met one level before, the
+        # last only until every state is reached, possibly partway through
+        # its last frontier class
+        *full, last = res.levels
+        for prev, lv in zip(res.levels, full[1:]):
+            assert lv.frontier_classes == prev.new_classes
+        assert 1 <= last.frontier_classes <= full[-1].new_classes
+        g = res.generator_count
+        assert all(lv.products == lv.frontier_classes * g for lv in full)
+        assert (last.frontier_classes - 1) * g < last.products
+        assert last.products <= last.frontier_classes * g
+        assert all(lv.seconds >= 0 for lv in res.levels)
         assert sum(lv.new_classes for lv in res.levels) + 1 == _class_count(res)
 
 
@@ -532,6 +576,28 @@ def test_bfs_stops_once_every_state_is_reached(s3, monkeypatch):
     res = bfs_norms(s3, 2)
     assert len(calls) == sum(lv.frontier_classes for lv in res.levels)
     assert res.layer_sizes == [1, 2617, 24733, 11529]
+
+
+def test_bfs_rejects_generators_that_split_a_class(s3, monkeypatch):
+    # drop one generator that is not its class's least code: the class is
+    # still met through its other members, so the sizes overcount the codes
+    sbar_codes = oracle._sbar_codes
+
+    def one_short(group, cap):
+        codes = sbar_codes(group, cap)
+        [drop] = np.flatnonzero(group.class_labels[codes] != codes)[:1]
+        return np.delete(codes, drop)
+
+    monkeypatch.setattr(oracle, "_sbar_codes", one_short)
+    with pytest.raises(RuntimeError, match="not a union of conjugacy classes"):
+        bfs_norms(s3, 1)
+
+
+@pytest.mark.parametrize("name,window", [("s4", 1), ("s3", 2)])
+def test_bfs_stops_mid_level(request, name, window):
+    # the last level reaches every state before its frontier runs out
+    res = bfs_norms(request.getfixturevalue(name), window)
+    assert res.levels[-1].frontier_classes < res.levels[-2].new_classes
 
 
 def test_bfs_guards_the_unreached_sentinel(s3, monkeypatch):
