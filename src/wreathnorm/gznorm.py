@@ -180,7 +180,10 @@ def geodesic(g: LampElem) -> Geodesic:
 
 
 def check_geodesic(geo: Geodesic) -> bool:
+    """Whether ``geo`` keeps every invariant its class docstring lists."""
     g = geo.target
+    if len(geo) != case_norm(g):
+        return False
     acc = LampElem.identity(g.base, g.window)
     for s in geo.factors:
         if not in_Sbar(s):

@@ -2,20 +2,21 @@
 
 States are mixed-radix integers: base-group digits per window position (index
 -n first, most significant) followed by the shift residue, so the whole
-truncation indexes a dense array.  All batch products go through one kernel
-that re-encodes the digits of one shift class at a time.
+truncation indexes a dense array.  All batch products go through one step
+that multiplies the digit columns of one shift class at a time by one state.
 
 The conjugacy-closed generating set S-bar is a union of conjugacy classes
-(checked before use), so every ball around the identity is one too.  Each
-state carries a class label, the least code in its class, read in closed form
-off the classes of its cycle products (``TruncatedGroup.class_labels``): no
-search over conjugates builds them.  The class step: for X a union of classes,
-X . S-bar is the union of the classes met by r . S-bar for one representative
-r per class of X, as x = y^-1 r y gives x . S-bar = y^-1 (r . S-bar) y.  The
-BFS takes one class step per level and reads each state's distance back
-through its label.  One ``BfsResult`` holds that search: ``bfs_norms`` returns
-it, and ``bounded_norm`` answers queries by lookup into it.  Distance labels
-are convention-free, so runs are deterministic.
+(checked before use), so every ball around the identity is one too.  A
+state's class label, the least code in its class, is read in closed form off
+the classes of its cycle products (``_class_label_block``), a block of digit
+columns at a time: no search over conjugates finds it, and no state stores
+it.  The class step: for X a union of classes, X . S-bar is the union of the
+classes met by r . S-bar for one representative r per class of X, as
+x = y^-1 r y gives x . S-bar = y^-1 (r . S-bar) y.  The BFS takes one class
+step per level, keeping each class's distance at its label, then copies it
+to the other states.  One ``BfsResult`` holds that search: ``bfs_norms``
+returns it, and ``bounded_norm`` answers queries by lookup into it.  Distance
+labels are convention-free, so runs are deterministic.
 
 Both searches (the class BFS and ``set_power_norms``) stop the moment every
 state has a distance, even partway through a level.  This is exact: a state
@@ -102,7 +103,7 @@ class TruncatedGroup:
     """The full finite truncation with dense integer element indices.
 
     Codecs to and from explicit elements (whose products are ``LampElem``'s)
-    and the tables of the batch kernel below.  The base identity must be
+    and the tables of the batch product step below.  The base identity must be
     element 0, so the identity has code 0.
     """
 
@@ -170,58 +171,10 @@ class TruncatedGroup:
         digits = [(vec // radix[j]) % b for j in range(w)]
         return digits, shifts
 
-    @cached_property
-    def class_labels(self) -> np.ndarray:
-        """int32: for each state, the least code in its conjugacy class.
-
-        Closed form, from the class structure of wreath products (James &
-        Kerber, *The Representation Theory of the Symmetric Group*, 1981,
-        ch. 4).  Write a state as (v, k), digits v_0..v_(w-1) and shift k, so
-        (h, k)(g, l) = (h . shift^k(g), k + l) with shift^k(g)_i = g_(i+k),
-        indices mod w.  Let d = gcd(k, w) (d = w at k = 0) and, for
-        r = 0..d-1, let C_r be the least element of the P-class of the forward
-        cycle product v_r . v_(r+k) . v_(r+2k) ..., w/d factors.  The label
-        is the least of the d codes with shift k, identity in the first w - d
-        digits and (C_s, C_(s+1), ..., C_(s+d-1)) (indices mod d) in the
-        last d, one per rotation s.
-
-        Proof.  Conjugation keeps k.  A base vector y maps digit i to
-        y_i^-1 . v_i . y_(i+k); along cycle r the inner factors cancel and
-        (w/d) k = 0 mod w, so cycle product r becomes y_r^-1 . (product) . y_r.
-        The cycles are disjoint, so base vectors conjugate the d cycle
-        products independently, each to any of its conjugates; telescoping y
-        along a cycle moves the whole product onto any one position of it.
-        Conjugating by t moves digit i to i + 1, which moves each cycle
-        product to the next cycle, up to a cyclic rotation of its factors
-        (itself a conjugation).  Every conjugator is a base vector times a power of t,
-        so the class of (v, k) is k with the Z_d-rotation orbit of the d
-        cycle-product classes.  Its least code puts each cycle's single
-        non-identity digit at that cycle's last position, w - d + r, which
-        makes the first w - d digits identity (element 0), and then takes the
-        least class element there, at the least rotation; class minima ascend
-        with class id, so comparing codes compares class ids.
-        """
-        w = self.code.width
-        if len(self) > np.iinfo(np.int32).max:
-            raise CapExceededError(f"{len(self)} states do not fit int32 labels")
-        b = len(self.base)
-        radix = self.np_tables["radix"]
-        labels = np.empty(len(self), dtype=np.int32)
-        by_shift = labels.reshape(-1, w)  # row code // w, column the shift
-        rows = by_shift.shape[0]
-        for start in range(0, rows, BLOCK_ROWS):
-            vec = np.arange(start, min(start + BLOCK_ROWS, rows), dtype=np.int64)
-            digits = [(vec // r) % b for r in radix]
-            for k in range(w):
-                by_shift[start : start + vec.size, k] = _class_label_block(
-                    self, digits, k
-                )
-        return labels
-
     def class_size(self, label: int) -> int:
         """The number of states in the class whose least code is ``label``.
 
-        By the class form in ``class_labels``: with d = gcd(k, w) and the
+        By the class form in ``_class_label_block``: with d = gcd(k, w) and the
         cycle-product classes (c_0, ..., c_(d-1)) in the label's last d digits,
         each distinct rotation of that tuple is met by |P|^(w-d) prod |K(c_r)|
         base vectors (a cycle's w/d - 1 leading digits are free, its last one
@@ -238,12 +191,7 @@ class TruncatedGroup:
         return size
 
 
-# -- the batch product kernel -----------------------------------------------------
-#
-# Every batch-by-constant operation on states x = (digits, k) of one shift class
-# re-encodes digit j as lut_j[digits[(j + offset) % w]]:
-#   x * s      lut_j = mulT row of s[(j + k) % w],  offset 0
-#   x^-1       lut_j = inv,                         offset -k
+# -- the batch product step -------------------------------------------------------
 
 BLOCK_ROWS = 1 << 14
 
@@ -263,58 +211,65 @@ def _shift_blocks(group: TruncatedGroup, codes: np.ndarray):
             yield pos, int(k), digits
 
 
-def _encode(
-    group: TruncatedGroup,
-    digits: Sequence[np.ndarray],
-    luts: Sequence[np.ndarray | None],
-    offset: int,
-    shift: int,
-) -> np.ndarray:
-    """Codes with digit j = luts[j][digits[(j + offset) % w]] (None: no lookup)
-    and the given shift residue."""
+def _products(group: TruncatedGroup, blocks, code: int):
+    """Yield (shift residue, digit columns) of x * c over the shift blocks of
+    states x, for the one state c = ``code``: digit j of (v, k) * (u, m) is
+    v_j . u_(j+k), its shift k + m."""
     w = group.code.width
-    b = len(group.base)
-    cols = (
-        digits[(j + offset) % w] if lut is None else lut[digits[(j + offset) % w]]
-        for j, lut in enumerate(luts)
-    )
-    acc = next(cols).astype(np.int64)
-    for col in cols:
+    rows = group.np_tables["mulT_rows"]
+    cvec, cshift = group.code.decode_parts(code)
+    for _, k, digits in blocks:
+        lookups = (rows[cvec[(j + k) % w]] for j in range(w))
+        yield (k + cshift) % w, [
+            col if row is None else row[col] for row, col in zip(lookups, digits)
+        ]
+
+
+def _encode(group: TruncatedGroup, digits: Sequence[np.ndarray], k: int) -> np.ndarray:
+    """Codes of the states with the given digit columns and shift residue k."""
+    b, w = len(group.base), group.code.width
+    acc = digits[0].astype(np.int64)
+    for col in digits[1:]:
         acc *= b
         acc += col
     acc *= w
-    acc += shift % w
+    acc += k
     return acc
-
-
-def _right_products(
-    group: TruncatedGroup,
-    k: int,
-    digits: Sequence[np.ndarray],
-    svecs: Sequence[Sequence[int]],
-    shifts: Sequence[int],
-):
-    """Yield the codes of x * s for one shift block of states x, per s = (svec, m)."""
-    w = group.code.width
-    rows = group.np_tables["mulT_rows"]
-    rotation = [(j + k) % w for j in range(w)]
-    for svec, m in zip(svecs, shifts):
-        yield _encode(group, digits, [rows[svec[r]] for r in rotation], 0, k + m)
-
-
-def _times(group: TruncatedGroup, blocks, code: int):
-    """Yield (positions, codes of x * c) over the shift blocks of states x,
-    for the one state c = ``code``."""
-    cvec, cshift = group.code.decode_parts(code)
-    for pos, k, digits in blocks:
-        yield pos, next(_right_products(group, k, digits, [cvec], [cshift]))
 
 
 def _class_label_block(
     group: TruncatedGroup, digits: Sequence[np.ndarray], k: int
 ) -> np.ndarray:
-    """Class labels (see ``TruncatedGroup.class_labels``) of the states with
-    the given digit columns and shift residue k."""
+    """Class labels, the least code in each state's conjugacy class, of the
+    states with the given digit columns and shift residue k.
+
+    Closed form, from the class structure of wreath products (James &
+    Kerber, *The Representation Theory of the Symmetric Group*, 1981, ch. 4).
+    Write a state as (v, k), digits v_0..v_(w-1) and shift k, so
+    (h, k)(g, l) = (h . shift^k(g), k + l) with shift^k(g)_i = g_(i+k),
+    indices mod w.  Let d = gcd(k, w) (d = w at k = 0) and, for r = 0..d-1,
+    let C_r be the least element of the P-class of the forward cycle product
+    v_r . v_(r+k) . v_(r+2k) ..., w/d factors.  The label is the least of
+    the d codes with shift k, identity in the first w - d digits and
+    (C_s, C_(s+1), ..., C_(s+d-1)) (indices mod d) in the last d, one per
+    rotation s.
+
+    Proof.  Conjugation keeps k.  A base vector y maps digit i to
+    y_i^-1 . v_i . y_(i+k); along cycle r the inner factors cancel and
+    (w/d) k = 0 mod w, so cycle product r becomes y_r^-1 . (product) . y_r.
+    The cycles are disjoint, so base vectors conjugate the d cycle products
+    independently, each to any of its conjugates; telescoping y along a cycle
+    moves the whole product onto any one position of it.  Conjugating by t
+    moves digit i to i + 1, which moves each cycle product to the next cycle,
+    up to a cyclic rotation of its factors (itself a conjugation).  Every
+    conjugator is a base vector times a power of t, so the class of (v, k) is
+    k with the Z_d-rotation orbit of the d cycle-product classes.  Its least
+    code puts each cycle's single non-identity digit at that cycle's last
+    position, w - d + r, which makes the first w - d digits identity
+    (element 0), and then takes the least class element there, at the least
+    rotation; class minima ascend with class id, so comparing codes compares
+    class ids.
+    """
     w, b = group.code.width, len(group.base)
     mul, least = group.np_tables["mul"], group.np_tables["least"]
     d = gcd(k, w)
@@ -333,11 +288,21 @@ def _class_label_block(
     return best * w + k
 
 
-def _inverses(group: TruncatedGroup, codes: np.ndarray):
-    """Yield (positions, codes of x^-1) per shift block of ``codes``."""
-    luts = [group.np_tables["inv"]] * group.code.width
-    for pos, k, digits in _shift_blocks(group, codes):
-        yield pos, _encode(group, digits, luts, -k, -k)
+def _all_labels(group: TruncatedGroup) -> np.ndarray:
+    """Every class's label, ascending.  By the form in ``_class_label_block``,
+    with d = gcd(k, w) these are the codes of shift k with identity in the
+    first w - d digits and P-class minima in the last d that are their own
+    labels."""
+    w = group.code.width
+    minima = np.array(group.base.conj_classes.reps, dtype=np.int64)
+    found = []
+    for k in range(w):
+        d = gcd(k, w)
+        tails = np.stack(np.meshgrid(*[minima] * d, indexing="ij")).reshape(d, -1)
+        digits = [np.zeros(tails.shape[1], dtype=np.int64)] * (w - d) + list(tails)
+        codes = _encode(group, digits, k)
+        found.append(codes[_class_label_block(group, digits, k) == codes])
+    return np.sort(np.concatenate(found))
 
 
 # -- generators ----------------------------------------------------------------
@@ -417,20 +382,23 @@ def _require_gen_cap(b: int, w: int, cap: int) -> None:
 
 def _sbar_codes(group: TruncatedGroup, cap: int = DEFAULT_GEN_CAP) -> np.ndarray:
     """``sorted(group.encode(s) for s in enumerate_Sbar(...))``, built on digit
-    arrays: the singles, every (w-1)-digit choice closed by the inverse of its
-    product at shift +1, and their inverses."""
+    arrays: the singles, every (w-1)-digit choice v_0..v_(w-2) closed by the
+    inverse of its product at shift +1, and their inverses.  (v, 1)^-1 is
+    (u, -1) with u_p = v_(p-1)^-1, so its digits are the product, then
+    v_0^-1, ..., v_(w-2)^-1."""
     w, b = group.code.width, len(group.base)
     _require_gen_cap(b, w, cap)
     tables = group.np_tables
     singles = np.arange(1, b)[:, None] * tables["radix"] * w  # shift 0
     choices = np.arange(b ** (w - 1), dtype=np.int64)
     product = np.zeros_like(choices)
+    inverted = np.zeros_like(choices)  # the digits v_p^-1, base |P|
     for j in range(w - 1):
-        product = tables["mul"][product * b + choices // b ** (w - 2 - j) % b]
+        digit = choices // b ** (w - 2 - j) % b
+        product = tables["mul"][product * b + digit]
+        inverted = inverted * b + tables["inv"][digit]
     plus = (choices * b + tables["inv"][product]) * w + 1
-    minus = np.empty_like(plus)
-    for pos, codes in _inverses(group, plus):
-        minus[pos] = codes
+    minus = (product * b ** (w - 1) + inverted) * w + w - 1
     return np.sort(np.concatenate([singles.ravel(), plus, minus]))
 
 
@@ -495,26 +463,28 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
 
     Level-synchronized over conjugacy classes, one class step (see the module
     docstring) per level from the representatives of the last layer, each
-    recorded as a ``BfsLevel``.  Each product block marks the classes it is
-    first to meet with the current level and adds their sizes to the covered
-    count; the search stops as soon as that count is every state, even
-    mid-level (exact: the module docstring's stop rule).  Each state's
-    distance is its class's.
+    recorded as a ``BfsLevel``.  Each product block is labelled in closed
+    form, marks the classes it is first to meet with the current level at
+    their labels in ``distances`` and adds their sizes to the covered count;
+    the search stops as soon as that count is every state, even mid-level
+    (exact: the module docstring's stop rule).  One blockwise pass then sets
+    distances[x] = distances[label(x)] for every state x.  That is exact in
+    place: a label is its class's least code, so the pass copies each label's
+    entry onto itself and writes only entries that no label reads.
     Raises RuntimeError if the generators are not a union of classes, if a
     level would reach the UNREACHED sentinel, or if states stay unreached.
     """
     started = time.perf_counter()
     gen_codes = _sbar_codes(group, gen_cap)
-    # labels first: no other per-state array is alive while they are built
-    labels = group.class_labels
+    gen_blocks = list(_shift_blocks(group, gen_codes))
     # S-bar lies inside the union of the classes its members meet, and its
     # codes are distinct, so it is that union iff their sizes add up to its count
-    gen_classes = _distinct(labels[gen_codes]).tolist()
+    gen_labels = [_class_label_block(group, digits, k) for _, k, digits in gen_blocks]
+    gen_classes = _distinct(np.concatenate(gen_labels)).tolist()
     if sum(map(group.class_size, gen_classes)) != gen_codes.size:
         raise RuntimeError("the generating set is not a union of conjugacy classes")
-    gen_blocks = list(_shift_blocks(group, gen_codes))
-    class_dist = np.full(len(group), UNREACHED, dtype=np.uint8)  # at representatives
-    class_dist[0] = 0
+    distances = np.full(len(group), UNREACHED, dtype=np.uint8)  # at labels first
+    distances[0] = 0
     frontier = [0]
     level = 0
     layer_sizes = [1]  # the identity is a class of its own
@@ -531,15 +501,15 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
         products = 0
         layer_start = covered
         blocks = (
-            (expanded, prods)
+            (expanded, k, digits)
             for expanded, rep in enumerate(frontier, 1)
-            for _, prods in _times(group, gen_blocks, rep)
+            for k, digits in _products(group, gen_blocks, rep)
         )
-        for expanded, prods in blocks:
-            products += prods.size
-            met = labels[prods]
-            met = _distinct(met[class_dist[met] == UNREACHED])
-            class_dist[met] = level
+        for expanded, k, digits in blocks:
+            products += digits[0].size
+            met = _class_label_block(group, digits, k)
+            met = _distinct(met[distances[met] == UNREACHED])
+            distances[met] = level
             new.append(met)
             covered += sum(map(group.class_size, met.tolist()))
             if covered == len(group):
@@ -557,7 +527,15 @@ def _class_bfs(group: TruncatedGroup, gen_cap: int = DEFAULT_GEN_CAP) -> BfsResu
             "generators failed to reach the whole truncation; "
             f"{len(group) - covered} states missing"
         )
-    distances = class_dist[labels]
+    w, b = group.code.width, len(group.base)
+    by_shift = distances.reshape(-1, w)  # row code // w, column the shift
+    rows, radix = by_shift.shape[0], group.np_tables["radix"]
+    for start in range(0, rows, BLOCK_ROWS):
+        vec = np.arange(start, min(start + BLOCK_ROWS, rows), dtype=np.int64)
+        digits = [(vec // r) % b for r in radix]
+        for k in range(w):
+            labels = _class_label_block(group, digits, k)
+            by_shift[start : start + vec.size, k] = distances[labels]
     levels = [
         BfsLevel(lvl, f, p, c, layer_sizes[lvl], round(sec, 6))
         for lvl, (f, p, c, sec) in enumerate(steps, 1)
@@ -857,11 +835,11 @@ def validate_triangle_layers(result: BfsResult) -> bool:
         return False
     group = result.group
     d = result.distances
-    labels = group.class_labels
+    labels = _all_labels(group)
     diameter = result.diameter
     layers = {lvl: np.flatnonzero(d == lvl) for lvl in range(1, diameter - 1)}
     for i, left in layers.items():
-        reps = left[labels[left] == left].tolist()
+        reps = labels[d[labels] == i].tolist()
         for j, right in layers.items():
             if i + j >= diameter:
                 continue
@@ -871,8 +849,8 @@ def validate_triangle_layers(result: BfsResult) -> bool:
                 )
             blocks = list(_shift_blocks(group, right))
             for rep in reps:
-                for _, prods in _times(group, blocks, rep):
-                    if (d[prods] > i + j).any():
+                for k, digits in _products(group, blocks, rep):
+                    if (d[_encode(group, digits, k)] > i + j).any():
                         return False
     return True
 
@@ -935,13 +913,19 @@ def write_norms_binary(path: str | Path, result: BfsResult) -> None:
 
 
 def read_norms_binary(path: str | Path) -> tuple[dict, np.ndarray]:
+    """The header and distance body of a ``write_norms_binary`` file.  Raises
+    ValueError unless the header is a JSON object with an integer "order"
+    that the body length matches."""
     raw = Path(path).read_bytes()
     if not raw.startswith(BINARY_MAGIC):
         raise ValueError("not a wreathnorm BFS file")
     rest = raw[len(BINARY_MAGIC) :]
     nl = rest.index(b"\n")
     header = json.loads(rest[:nl].decode())
+    order = header.get("order") if isinstance(header, dict) else None
+    if type(order) is not int:  # a bool is no order
+        raise ValueError("header is not a JSON object with an integer order")
     body = np.frombuffer(rest[nl + 1 :], dtype=np.uint8)
-    if body.size != header["order"]:
+    if body.size != order:
         raise ValueError("truncated body")
     return header, body

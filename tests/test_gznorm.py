@@ -14,6 +14,7 @@ from wreathnorm.commutators import (
 )
 from wreathnorm.groups import CapExceededError, builtin_group, perm_from_cycles
 from wreathnorm.gznorm import (
+    Geodesic,
     check_geodesic,
     geodesic,
     max_extent,
@@ -112,6 +113,15 @@ def test_geodesic_t3_shape(a5):
     geo = geodesic(LampElem.t_power(a5, 3))
     assert [f.shift for f in geo.factors] == [1, 1, 1]
     assert all(f == LampElem.t_power(a5, 1) for f in geo.factors)
+
+
+def test_check_geodesic_rejects_a_factorization_longer_than_the_norm(a5):
+    # t^2 times s . s^-1 multiplies to t^2 with four S-bar factors, norm 2
+    geo = geodesic(LampElem.t_power(a5, 2))
+    s = LampElem.single(a5, 0, 1)
+    padded = Geodesic(geo.target, geo.factors + (s, s.inverse()))
+    assert check_geodesic(geo)
+    assert len(padded) == 4 and not check_geodesic(padded)
 
 
 def test_geodesic_pm_pair_shape(a5):

@@ -120,16 +120,50 @@ def _code_product(group, c1, c2):
     return group.encode(group.decode(c1).mul(group.decode(c2)))
 
 
+def _reencode(group, digits, luts, offset, shift):
+    """Codes with digit j = luts[j][digits[(j + offset) % w]] (None: no lookup)
+    and the given shift residue.  The general digit re-encoder of the batch
+    kernel that preceded the product step, kept for the references below."""
+    w, b = group.code.width, len(group.base)
+    acc = np.zeros(digits[0].shape, dtype=np.int64)
+    for j, lut in enumerate(luts):
+        col = digits[(j + offset) % w]
+        acc = acc * b + (col if lut is None else lut[col])
+    return acc * w + shift % w
+
+
+def _inverses(group, codes):
+    """Yield (positions, codes of x^-1) per shift block of ``codes``."""
+    luts = [group.np_tables["inv"]] * group.code.width
+    for pos, k, digits in oracle._shift_blocks(group, codes):
+        yield pos, _reencode(group, digits, luts, -k, -k)
+
+
+def _right_products(group, k, digits, svecs, shifts):
+    """Yield the codes of x * s for one shift block of states x, per s = (svec, m)."""
+    w = group.code.width
+    rows = group.np_tables["mulT_rows"]
+    rotation = [(j + k) % w for j in range(w)]
+    for svec, m in zip(svecs, shifts):
+        yield _reencode(group, digits, [rows[svec[r]] for r in rotation], 0, k + m)
+
+
 def test_code_arithmetic_matches_elements(s3):
-    # the batch kernel's products and inverses against LampElem's law
+    # the product step's digit columns, re-encoded, and the reference
+    # re-encoder's products and inverses against LampElem's law
     group = TruncatedGroup(s3, 1)
     rng = random.Random(1)
     for _ in range(300):
         c1, c2 = rng.randrange(len(group)), rng.randrange(len(group))
+        expected = _code_product(group, c1, c2)
         blocks = list(oracle._shift_blocks(group, np.array([c1], dtype=np.int64)))
-        [(_, prods)] = oracle._times(group, blocks, c2)
-        assert int(prods[0]) == _code_product(group, c1, c2)
-        [(_, inv)] = oracle._inverses(group, np.array([c1], dtype=np.int64))
+        [(k, digits)] = oracle._products(group, blocks, c2)
+        assert int(oracle._encode(group, digits, k)[0]) == expected
+        [(_, k1, digits1)] = blocks
+        svecs, shifts = _prep_generators(group, [group.decode(c2)])
+        [prods] = _right_products(group, k1, digits1, svecs, shifts)
+        assert int(prods[0]) == expected
+        [(_, inv)] = _inverses(group, np.array([c1], dtype=np.int64))
         assert int(inv[0]) == group.encode(group.decode(c1).inverse())
 
 
@@ -158,14 +192,14 @@ def _conjugates(group, codes, by_codes):
                     luts.append(then if first is None else first)
                 else:
                     luts.append(then[first])
-            yield pos, i, oracle._encode(group, digits, luts, kappa, k)
+            yield pos, i, _reencode(group, digits, luts, kappa, k)
 
 
 def test_batch_helpers(s3):
     group = TruncatedGroup(s3, 1)
     codes = np.arange(len(group), dtype=np.int64)
     inv = np.empty_like(codes)
-    for pos, block in oracle._inverses(group, codes):
+    for pos, block in _inverses(group, codes):
         inv[pos] = block
     for c in codes[::17]:
         assert int(inv[c]) == group.encode(group.decode(int(c)).inverse())
@@ -224,12 +258,13 @@ def test_generator_norms_are_one(s3, s3_bfs):
 
 
 def test_bfs_chunk_independence(s3, s3_bfs, monkeypatch):
+    labels = _labels(s3_bfs.group)
     for chunk in (7, 100):
         monkeypatch.setattr(oracle, "BLOCK_ROWS", chunk)
         again = bfs_norms(s3, 1)
         assert (again.distances == s3_bfs.distances).all()
         assert again.layer_sizes == s3_bfs.layer_sizes
-        assert (again.group.class_labels == s3_bfs.group.class_labels).all()
+        assert (_labels(again.group) == labels).all()
 
 
 def test_validators_s3(s3_bfs):
@@ -314,7 +349,7 @@ def _prep_generators(group, gens):
 def _mark_products(group, blocks, svecs, shifts, mask):
     """Set mask at x * s for every state x in ``blocks`` and every s."""
     for _, k, digits in blocks:
-        for prods in oracle._right_products(group, k, digits, svecs, shifts):
+        for prods in _right_products(group, k, digits, svecs, shifts):
             mask[prods] = True
 
 
@@ -348,7 +383,7 @@ def _dense_bfs_reference(base, window):
             hit = np.zeros(unvisited.size, dtype=bool)
             for pos, k, digits in oracle._shift_blocks(group, unvisited):
                 agg = np.zeros(pos.size, dtype=bool)
-                for prods in oracle._right_products(group, k, digits, gvecs, gshifts):
+                for prods in _right_products(group, k, digits, gvecs, gshifts):
                     agg |= visited[prods]
                 hit[pos] = agg
             new = unvisited[hit]
@@ -361,8 +396,22 @@ def _dense_bfs_reference(base, window):
     return distances, layer_sizes
 
 
+def _sampled_labels(group, codes):
+    labels = np.empty_like(codes)
+    for pos, k, digits in oracle._shift_blocks(group, codes):
+        labels[pos] = oracle._class_label_block(group, digits, k)
+    return labels
+
+
+def _labels(group):
+    """Every state's class label by one pass of ``_class_label_block``: the
+    dense int32 array the oracle kept per state before it labelled blocks."""
+    codes = np.arange(len(group), dtype=np.int64)
+    return _sampled_labels(group, codes).astype(np.int32)
+
+
 def _class_count(result):
-    labels = result.group.class_labels
+    labels = _labels(result.group)
     return int(np.count_nonzero(labels == np.arange(labels.size)))
 
 
@@ -382,7 +431,7 @@ def test_class_bfs_matches_dense_reference(request, name, window, classes):
 
 def test_class_labels_are_class_minima(s3_bfs):
     group = s3_bfs.group
-    labels = group.class_labels
+    labels = _labels(group)
     assert labels.dtype == np.int32
     assert (labels <= np.arange(len(group))).all()
     rng = random.Random(3)
@@ -410,7 +459,7 @@ def test_ball2_matches_state_level_products(request, name, window):
     assert ctx.ball2.tobytes() == expected.tobytes()
 
 
-# sha256 of class_labels.tobytes(), taken before the labels were built blockwise
+# sha256 of the int32 labels' bytes, taken before the labels were built blockwise
 CLASS_LABELS_SHA256 = {
     ("s3", 2): "fc0ad7293253a1e93b6c88185f70fb18df5d7b588e09959d54c82a787bea9a52",
     ("a5", 1): "acabb870880e63452fc18e6fe17fac199b2e939b501d47e45ffc53b42093758d",
@@ -419,20 +468,24 @@ CLASS_LABELS_SHA256 = {
 
 @pytest.mark.parametrize("name,window", sorted(CLASS_LABELS_SHA256))
 def test_class_labels_pinned(request, name, window):
-    labels = TruncatedGroup(request.getfixturevalue(name), window).class_labels
+    labels = _labels(TruncatedGroup(request.getfixturevalue(name), window))
     digest = hashlib.sha256(labels.tobytes()).hexdigest()
     assert digest == CLASS_LABELS_SHA256[name, window]
 
 
-def test_class_labels_peak_memory(a5):
-    group = TruncatedGroup(a5, 1)
+@pytest.mark.parametrize("name,window", [("a5", 1), ("a4", 2)])
+def test_bfs_retains_one_byte_per_state(request, name, window):
+    # the result keeps its uint8 distances and int64 generator codes; the
+    # group caches only base-sized tables, no per-state array
+    base = request.getfixturevalue(name)
+    base.conj_classes  # the base's own caches are not the BFS's
     tracemalloc.start()
     try:
-        group.class_labels
-        _, peak = tracemalloc.get_traced_memory()
+        res = bfs_norms(base, window)
+        retained, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 12 * 2**20
+    assert retained <= len(res.group) + 8 * res.generator_count + 256 * 2**10
 
 
 def _propagation_labels(group):
@@ -477,28 +530,23 @@ def _propagation_labels(group):
 )
 def test_class_labels_equal_the_propagation(request, name, window):
     group = TruncatedGroup(request.getfixturevalue(name), window)
-    assert group.class_labels.tobytes() == _propagation_labels(group).tobytes()
+    assert _labels(group).tobytes() == _propagation_labels(group).tobytes()
 
 
 @pytest.mark.parametrize(
-    "name,window", [("s3", 1), ("s3", 2), ("a4", 1), ("z3", 2), ("s3", 3)]
+    "name,window",
+    [("s3", 1), ("s3", 2), ("a4", 1), ("z3", 2), ("s3", 3), ("z3", 4)],
 )
 def test_class_sizes_count_the_labels(request, name, window):
     group = TruncatedGroup(request.getfixturevalue(name), window)
-    counts = np.bincount(group.class_labels)
+    counts = np.bincount(_labels(group))
     reps = np.flatnonzero(counts)
     assert [group.class_size(c) for c in reps.tolist()] == counts[reps].tolist()
-
-
-def _sampled_labels(group, codes):
-    labels = np.empty_like(codes)
-    for pos, k, digits in oracle._shift_blocks(group, codes):
-        labels[pos] = oracle._class_label_block(group, digits, k)
-    return labels
+    assert oracle._all_labels(group).tolist() == reps.tolist()
 
 
 def test_class_labels_on_a_composite_nonabelian_width(s3):
-    # S3 w4: w = 9, 90,699,264 states, so the dense labels are never built
+    # S3 w4: w = 9, 90,699,264 states, so only sampled states are labelled
     group = TruncatedGroup(s3, 4)
     w = group.code.width
     rng = random.Random(9)
@@ -519,13 +567,14 @@ def test_class_labels_on_a_composite_nonabelian_width(s3):
         dtype=np.int64,
     )
     assert (_sampled_labels(group, conjugates) == labels).all()
-    assert "class_labels" not in group.__dict__
+    # the group caches base-sized tables, no per-state array
+    assert set(group.__dict__) <= {"base", "window", "code", "np_tables"}
 
 
 def test_class_labels_search_no_conjugates(s3):
     # no conjugation kernel is left in the oracle for the labels to call
     assert not [name for name in vars(oracle) if "conjugates" in name]
-    labels = TruncatedGroup(s3, 2).class_labels
+    labels = _labels(TruncatedGroup(s3, 2))
     digest = hashlib.sha256(labels.tobytes()).hexdigest()
     assert digest == CLASS_LABELS_SHA256["s3", 2]
 
@@ -564,15 +613,15 @@ def test_bfs_levels_account_for_every_state(s3_bfs, a5_bfs):
 
 def test_bfs_stops_once_every_state_is_reached(s3, monkeypatch):
     # no class step after the last layer: each step expands one frontier class
-    # per call to _times, and the steps are exactly the recorded levels
+    # per call to _products, and the steps are exactly the recorded levels
     calls = []
-    times = oracle._times
+    products = oracle._products
 
     def counted(group, blocks, code):
         calls.append(code)
-        return times(group, blocks, code)
+        return products(group, blocks, code)
 
-    monkeypatch.setattr(oracle, "_times", counted)
+    monkeypatch.setattr(oracle, "_products", counted)
     res = bfs_norms(s3, 2)
     assert len(calls) == sum(lv.frontier_classes for lv in res.levels)
     assert res.layer_sizes == [1, 2617, 24733, 11529]
@@ -585,7 +634,7 @@ def test_bfs_rejects_generators_that_split_a_class(s3, monkeypatch):
 
     def one_short(group, cap):
         codes = sbar_codes(group, cap)
-        [drop] = np.flatnonzero(group.class_labels[codes] != codes)[:1]
+        [drop] = np.flatnonzero(_labels(group)[codes] != codes)[:1]
         return np.delete(codes, drop)
 
     monkeypatch.setattr(oracle, "_sbar_codes", one_short)
@@ -611,7 +660,7 @@ def test_validators_reject_a_non_invariant_table(s3_bfs):
     # one non-representative generator pushed to distance 2: the triangle
     # inequality still holds, invariance fails, and the class-representative
     # triangle check must refuse the table rather than miss it
-    labels = s3_bfs.group.class_labels
+    labels = _labels(s3_bfs.group)
     d = s3_bfs.distances.copy()
     x = np.flatnonzero((labels != np.arange(d.size)) & (d == 1))[0]
     d[x] = 2
@@ -621,20 +670,25 @@ def test_validators_reject_a_non_invariant_table(s3_bfs):
 
 
 def test_triangle_rejects_a_class_moved_up_a_layer(s3_bfs):
-    labels = s3_bfs.group.class_labels
-    d = s3_bfs.distances.copy()
-    rep = np.flatnonzero((labels == np.arange(d.size)) & (d == 2))[0]
-    d[labels == rep] = 3
-    moved = dataclasses.replace(s3_bfs, distances=d)
-    assert validate_invariance_generators(moved)
-    assert not validate_triangle_layers(moved)
+    # each of the 10 layer-2 classes in turn: some are met only through
+    # products of later layer-1 representatives, so every one must be used
+    labels = _labels(s3_bfs.group)
+    d0 = s3_bfs.distances
+    reps = np.flatnonzero((labels == np.arange(d0.size)) & (d0 == 2))
+    assert reps.size == 10
+    for rep in reps:
+        d = d0.copy()
+        d[labels == rep] = 3
+        moved = dataclasses.replace(s3_bfs, distances=d)
+        assert validate_invariance_generators(moved)
+        assert not validate_triangle_layers(moved)
 
 
 def _reference_symmetry(result):
     """``validate_symmetry`` through the block kernel ``_inverses``."""
     codes = np.arange(len(result.group), dtype=np.int64)
     d = result.distances
-    blocks = oracle._inverses(result.group, codes)
+    blocks = _inverses(result.group, codes)
     return all((d[inv] == d[pos]).all() for pos, inv in blocks)
 
 
@@ -746,6 +800,16 @@ def test_binary_round_trip(tmp_path, s3_bfs):
     assert header["window"] == 1
     assert header["diameter"] == s3_bfs.diameter
     assert (body == s3_bfs.distances).all()
+
+
+@pytest.mark.parametrize(
+    "header", [b'{"window": 1}', b'[648]', b'{"order": "3"}', b'{"order": true}']
+)
+def test_binary_header_must_be_an_object_with_an_integer_order(tmp_path, header):
+    path = tmp_path / "norms.bin"
+    path.write_bytes(oracle.BINARY_MAGIC + header + b"\n" + bytes(3))
+    with pytest.raises(ValueError, match="integer order"):
+        read_norms_binary(path)
 
 
 # Z2 listed with its identity second: identity_index is 1, not 0.
